@@ -28,15 +28,6 @@ MemoryController::~MemoryController()
     eventq().unregisterHealthProbe(_probeId);
 }
 
-MemoryController::BankState &
-MemoryController::bank(const DramAddress &da)
-{
-    std::size_t idx =
-        std::size_t(da.rank) * _geo.banksPerDevice + da.bank;
-    ND_ASSERT(idx < _banks.size());
-    return _banks[idx];
-}
-
 void
 MemoryController::access(const MemRequestPtr &req)
 {

@@ -272,7 +272,6 @@ class MemoryController : public SimObject, public MemTarget
     stats::Scalar _eccCorrectable;
     stats::Scalar _eccUncorrectable;
 
-    BankState &bank(const DramAddress &da);
     void scheduleService(Tick when);
     void service();
     /** Pick the next beat to issue; returns false if nothing ready. */

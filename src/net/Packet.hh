@@ -56,7 +56,7 @@ enum class RpcOp : std::uint8_t
     Get,  ///< KV lookup request
     Put,  ///< KV update request
     Resp, ///< server -> client response
-    // -- replicated serving tier (src/workload cluster mode) ----------
+    // -- replicated serving tier (src/workload RpcServingLoad) --------
     ReplPut,  ///< coordinator -> backup replica write
     ReplAck,  ///< backup -> coordinator replication confirm
     SyncData, ///< peer -> restarting node shard re-sync batch
@@ -156,14 +156,13 @@ struct Packet
      */
     Tick rpcDeadline = 0;
     /**
-     * Logical KV key of cluster-mode serving traffic; 0 outside
-     * cluster mode. Distinct from rpcKey, which stays the unique
-     * per-request correlation id (and the simulated DRAM address
-     * seed) exactly as in the single-node workload.
+     * Logical KV key of serving traffic; 0 for other traffic.
+     * Distinct from rpcKey, which stays the unique per-request
+     * correlation id (and the simulated DRAM address seed).
      */
     std::uint64_t rpcKvKey = 0;
-    /** Value version carried by replicated PUT / sync / response
-     *  traffic; 0 = unversioned (plain single-copy serving). */
+    /** Value version carried by PUT / replication / response
+     *  traffic; 0 = unversioned (e.g. a handler-served reply). */
     std::uint64_t rpcVersion = 0;
 
     /** Number of cachelines the payload spans (1..24 for <= MTU). */

@@ -2,8 +2,10 @@
  * @file
  * Lightweight statistics package.
  *
- * Components expose Scalar / Average / Histogram stats; benches and
- * examples read them directly or through a StatGroup dump. The design
+ * Components expose Scalar / Average / Quantile stats; benches and
+ * examples read them directly or through a StatGroup dump. Bucketed
+ * latency distributions use the mergeable harness/LatencyHistogram,
+ * the repo's one histogram. The design
  * intentionally avoids a global registry: every stat belongs to the
  * component that owns it, and a StatGroup is just a named collection
  * used for pretty-printing.
@@ -82,53 +84,6 @@ class Average
     double _sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width-bucket histogram over [lo, hi); out-of-range samples land
- * in saturating underflow/overflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : _lo(lo), _hi(hi), _counts(buckets, 0)
-    {
-        ND_ASSERT(hi > lo && buckets > 0);
-    }
-
-    void
-    sample(double v)
-    {
-        ++_n;
-        if (v < _lo) {
-            ++_under;
-        } else if (v >= _hi) {
-            ++_over;
-        } else {
-            auto idx = std::size_t((v - _lo) / (_hi - _lo) *
-                                   double(_counts.size()));
-            idx = std::min(idx, _counts.size() - 1);
-            ++_counts[idx];
-        }
-    }
-
-    std::uint64_t count() const { return _n; }
-    std::uint64_t bucket(std::size_t i) const { return _counts.at(i); }
-    std::size_t buckets() const { return _counts.size(); }
-    std::uint64_t underflow() const { return _under; }
-    std::uint64_t overflow() const { return _over; }
-
-    double
-    bucketLow(std::size_t i) const
-    {
-        return _lo + (_hi - _lo) * double(i) / double(_counts.size());
-    }
-
-  private:
-    double _lo, _hi;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _under = 0, _over = 0, _n = 0;
 };
 
 /**

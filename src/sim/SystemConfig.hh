@@ -87,18 +87,10 @@ struct DramTiming
     std::uint32_t tCL = 17;
     /** PRE -> ACT. */
     std::uint32_t tRP = 17;
-    /** ACT -> PRE minimum. */
-    std::uint32_t tRAS = 39;
     /** Burst length in bus clocks (BL8 on DDR = 4 clocks). */
     std::uint32_t tBURST = 4;
     /** Column-to-column (same bank group approximation). */
     std::uint32_t tCCD = 6;
-    /** ACT -> ACT different banks. */
-    std::uint32_t tRRD = 6;
-    /** Four-activate window. */
-    std::uint32_t tFAW = 26;
-    /** Write recovery. */
-    std::uint32_t tWR = 18;
     /** Command/address bus transfer time (one command slot). */
     std::uint32_t tCMD = 1;
 
@@ -110,8 +102,6 @@ struct DramGeometry
 {
     std::uint32_t channels = 2;
     std::uint32_t ranksPerChannel = 1;
-    /** x8 devices per rank (Sec. 4.2.1 / Fig. 9: 8 devices). */
-    std::uint32_t devicesPerRank = 8;
     std::uint32_t banksPerDevice = 16;
     /** Sub-arrays per bank (Fig. 9: 512). */
     std::uint32_t subArraysPerBank = 512;
@@ -119,8 +109,6 @@ struct DramGeometry
     std::uint32_t rowsPerSubArray = 128;
     /** Bytes per row per rank (Fig. 9: 1KB rows). */
     std::uint32_t rowBytes = 1024;
-    /** Data bus width in bits (DDR: 64). */
-    std::uint32_t busWidthBits = 64;
 
     /** Capacity of one rank, in bytes. */
     std::uint64_t
@@ -168,7 +156,6 @@ const char *arbPolicyName(MemArbPolicy p);
 /** Memory controller queueing model. */
 struct MemCtrlConfig
 {
-    std::uint32_t readQueueDepth = 32;
     std::uint32_t writeQueueDepth = 64;
     /** Controller pipeline (decode + scheduling), in ticks. */
     Tick frontendLatency = nsToTicks(10);
@@ -591,8 +578,6 @@ struct SystemConfig
     NicModelConfig nicModel{};
     SoftwareConfig sw{};
     NicKind nic = NicKind::Discrete;
-    /** Number of NetDIMM devices installed (Sec. 4.2.1: NETi zones). */
-    std::uint32_t numNetDimms = 1;
     /** Fault injection + recovery model. */
     FaultModelConfig faults{};
     /** RNG seed for this node's stochastic components; also the

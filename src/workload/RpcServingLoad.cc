@@ -53,18 +53,43 @@ shedPolicyName(ShedPolicy s)
 namespace
 {
 
+// -- fixed workload model ----------------------------------------------
+/** Concurrent application workers on each server. */
+constexpr std::uint32_t appWorkers = 2;
+/** Per-request compute cost, core cycles at the host clock. */
+constexpr std::uint64_t appServiceCycles = 6000;
+/** Host-side KV working set per server, pages. */
+constexpr std::uint32_t kvPageCount = 64;
+/** Probe working set; exceeds the LLC so dependent loads actually
+ *  reach the local memory controller. */
+constexpr std::uint32_t probePages = 1024;
+constexpr double probeThinkNs = 100.0;
+/** MLC pages per stream (read + write); 2 x 1024 pages = 8 MB, four
+ *  times the LLC, so the injector streams mostly miss. */
+constexpr std::uint32_t mlcPages = 1024;
+/** Deterministic +/- jitter fraction on each retry backoff, drawn from
+ *  a named FaultDomain stream so the schedule is a pure function of
+ *  the config seed. */
+constexpr double retryJitterFrac = 0.1;
+/** Logical KV key space; keys are drawn uniformly from [1, N]. */
+constexpr std::uint64_t keySpace = 2048;
+/** Virtual points per node on the consistent-hash ring. */
+constexpr std::uint32_t ringVnodes = 48;
+/** KV entries per shard re-sync frame. */
+constexpr std::uint32_t syncBatch = 5;
+/** Coordinator retransmit period for unacked replica writes. */
+constexpr Tick replRetryTimeout = usToTicks(50);
+
 /**
  * One serving cell: client, server node(s), topology, workload state.
  *
- * The single-server path and the cluster path are ONE implementation.
- * Every cluster feature is structurally inert when the cluster knobs
- * sit at nodes=1 / replication=1 / crashRatePerSec=0: the topology is
- * the same direct link, replication fan-out degenerates to an empty
- * backup set (the reply goes out in the legacy event order), routing
- * and version bookkeeping are pure computation, and no event or
- * shared-stream RNG draw is added — which is what lets the
- * serving_failover golden cell reproduce the serving_kv digest
- * byte-for-byte.
+ * There is one path. The cluster features are inert at the default
+ * nodes=1 / replication=1 / crashRatePerSec=0: the topology is a
+ * direct client-server link, replication fan-out degenerates to an
+ * empty backup set, and routing, key/version draws and the acked-write
+ * ledger are pure computation on their own RNG stream, scheduling no
+ * event. The only behaviour the cluster knobs switch is the handler
+ * PUT rule (see the constructor).
  */
 class ServingSim
 {
@@ -122,8 +147,8 @@ class ServingSim
 
         ServerCtx(ServingSim &s, Node &n) : sim(s), node(n)
         {
-            kvPages.reserve(sim.p.kvPages);
-            for (std::uint32_t j = 0; j < sim.p.kvPages; ++j)
+            kvPages.reserve(kvPageCount);
+            for (std::uint32_t j = 0; j < kvPageCount; ++j)
                 kvPages.push_back(node.allocWorkloadPage());
         }
 
@@ -178,7 +203,7 @@ class ServingSim
         void
         trySrv()
         {
-            while (busy < sim.p.appWorkers && !q.empty()) {
+            while (busy < appWorkers && !q.empty()) {
                 PacketPtr req = q.front();
                 q.pop_front();
                 // Deadline-aware dequeue: serving an already-dead
@@ -235,7 +260,7 @@ class ServingSim
         {
             std::uint64_t g = gen;
             sim.eq.scheduleRel(
-                sim.cfg.cpu.cycles(sim.p.appServiceCycles),
+                sim.cfg.cpu.cycles(appServiceCycles),
                 [this, req, g] {
                     if (g != gen)
                         return;
@@ -262,17 +287,14 @@ class ServingSim
                 return;
             }
             std::uint64_t ver = 0;
-            if (sim.cl.enabled) {
-                if (req->rpcOp == RpcOp::Put) {
-                    installMax(req->rpcKvKey, req->rpcVersion);
-                    ver = req->rpcVersion;
-                    if (sim.cl.replication >= 2 &&
-                        startReplication(req))
-                        return; // the last ReplAck sends the reply
-                } else {
-                    auto it = store.find(req->rpcKvKey);
-                    ver = it == store.end() ? 0 : it->second;
-                }
+            if (req->rpcOp == RpcOp::Put) {
+                installMax(req->rpcKvKey, req->rpcVersion);
+                ver = req->rpcVersion;
+                if (sim.cl.replication >= 2 && startReplication(req))
+                    return; // the last ReplAck sends the reply
+            } else {
+                auto it = store.find(req->rpcKvKey);
+                ver = it == store.end() ? 0 : it->second;
             }
             std::uint32_t bytes =
                 req->rpcOp == RpcOp::Get
@@ -343,7 +365,7 @@ class ServingSim
         {
             std::uint64_t g = gen;
             sim.eq.scheduleRel(
-                sim.cl.replRetryTimeout, [this, id, g] {
+                replRetryTimeout, [this, id, g] {
                     if (g != gen)
                         return;
                     auto it = pending.find(id);
@@ -478,7 +500,7 @@ class ServingSim
                 bySrc[best.second].push_back({k, best.first});
             for (auto &[src, kvs] : bySrc) {
                 for (std::size_t o = 0; o < kvs.size();
-                     o += sim.cl.syncBatch) {
+                     o += syncBatch) {
                     SyncFrame fr;
                     fr.src = src;
                     fr.kv.assign(
@@ -486,7 +508,7 @@ class ServingSim
                         kvs.begin() +
                             std::ptrdiff_t(std::min(
                                 kvs.size(),
-                                o + sim.cl.syncBatch)));
+                                o + syncBatch)));
                     pl->frames.push_back(std::move(fr));
                 }
             }
@@ -590,7 +612,7 @@ class ServingSim
         std::uint32_t sends = 0;
         bool get = false;
         bool hedged = false;
-        std::uint64_t kvKey = 0;   ///< 0 outside cluster mode
+        std::uint64_t kvKey = 0;   ///< logical key, [1, keySpace]
         std::uint64_t version = 0; ///< PUT version; retries reuse it
         std::uint32_t rsOffset = 0;
         std::uint32_t target = 1;
@@ -615,7 +637,6 @@ class ServingSim
     ServingParams p;
     ClusterServingParams cl;
     SystemConfig cfg;
-    std::uint32_t nservers;
     bool offload = false;
     std::uint32_t valueStride = 0;
     std::uint32_t slotsPerPage = 0;
@@ -657,19 +678,15 @@ class ServingSim
 ServingSim::ServingSim(const SystemConfig &base,
                        const ServingParams &params)
     : p(params), cl(params.cluster), cfg(base),
-      nservers(cl.enabled ? cl.nodes : 1),
       arrivals(base.seed ^ 0x5E12F1A6ull),
       ops(base.seed ^ 0x0A9B3C5Dull),
       kvKeys(base.seed ^ 0x7C3A1B2Eull),
       retryJitter("rpc.retry", base.seed)
 {
     ND_ASSERT(p.qps > 0 && p.valueBytes >= 1 &&
-              p.valueBytes <= pageBytes && p.appWorkers >= 1 &&
-              p.kvPages >= 1);
-    ND_ASSERT(!cl.enabled ||
-              (cl.nodes >= 1 && cl.replication >= 1 &&
-               cl.replication <= cl.nodes && cl.keySpace >= 1 &&
-               cl.syncBatch >= 1 && cl.replRetryTimeout > 0));
+              p.valueBytes <= pageBytes);
+    ND_ASSERT(cl.nodes >= 1 && cl.replication >= 1 &&
+              cl.replication <= cl.nodes);
 
     switch (p.placement) {
     case ServingPlacement::Dnic:
@@ -698,7 +715,7 @@ ServingSim::ServingSim(const SystemConfig &base,
     // crashy cell needs the fault framework up. Zero-crash cells
     // leave it alone: a cell compared byte-for-byte against a
     // fault-free golden must not construct extra domains.
-    if (cl.enabled && cl.crashRatePerSec > 0)
+    if (cl.crashRatePerSec > 0)
         cfg.faults.enabled = true;
 
     total = p.requests + p.warmup;
@@ -710,13 +727,16 @@ ServingSim::ServingSim(const SystemConfig &base,
 
     // -- topology -------------------------------------------------------
     client = std::make_unique<Node>(eq, "client", cfg, 0);
-    for (std::uint32_t i = 0; i < nservers; ++i) {
-        std::string name =
-            nservers == 1 ? "server" : "s" + std::to_string(i + 1);
+    for (std::uint32_t i = 0; i < cl.nodes; ++i) {
+        std::string name = "server";
+        if (cl.nodes > 1) {
+            name = "s";
+            name += std::to_string(i + 1);
+        }
         serverNodes.push_back(
             std::make_unique<Node>(eq, name, cfg, i + 1));
     }
-    if (nservers == 1) {
+    if (cl.nodes == 1) {
         // The single-server harness keeps its direct link (and its
         // exact event order -- no switch hop).
         directLink = std::make_unique<EthLink>(eq, "link", cfg.eth);
@@ -741,30 +761,29 @@ ServingSim::ServingSim(const SystemConfig &base,
 
     offload = p.placement == ServingPlacement::NetDimmHandlers &&
               !p.emptyMatchTable;
+    // The wimpy cores know nothing of versions or replication, so
+    // they take PUTs only when no write needs a backup and none can
+    // be lost to a crash. Their version-0 replies keep those PUTs off
+    // the client's acked-write ledger.
+    const bool handlerPuts =
+        cl.replication == 1 && cl.crashRatePerSec == 0;
     for (auto &sn : serverNodes) {
         if (!offload)
             break;
-        HandlerStage *hs = sn->netdimm()->handlers();
+        Node *n = sn.get();
+        HandlerStage *hs = n->netdimm()->handlers();
         ND_ASSERT(hs);
         hs->configureKv(/*buckets=*/1u << 14, /*slots=*/1u << 14,
                         p.valueBytes);
         hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
-        // Cluster PUTs stay on the host path: they carry versions and
-        // replication, which the wimpy cores know nothing about.
-        if (!cl.enabled)
+        if (handlerPuts)
             hs->table().add(MatchRule::onOp(RpcOp::Put, "kv"));
-    }
-    if (cl.enabled && offload) {
         // Cold boot replays the device-side KV setup; the GET match
         // rule waits for rejoin() so a resyncing node cannot serve.
-        for (auto &sn : serverNodes) {
-            Node *n = sn.get();
-            std::uint32_t vb = p.valueBytes;
-            n->setColdBootHook([n, vb] {
-                HandlerStage *hs = n->netdimm()->handlers();
-                hs->configureKv(1u << 14, 1u << 14, vb);
-            });
-        }
+        n->setColdBootHook([n, vb = p.valueBytes] {
+            n->netdimm()->handlers()->configureKv(1u << 14, 1u << 14,
+                                                  vb);
+        });
     }
 
     const std::uint32_t stride =
@@ -774,20 +793,18 @@ ServingSim::ServingSim(const SystemConfig &base,
     slotsPerPage = pageBytes / stride;
     linesPerPage = pageBytes / cachelineBytes;
 
-    if (cl.enabled) {
-        std::vector<std::uint32_t> ids;
-        ids.reserve(nservers);
-        for (auto &sn : serverNodes)
-            ids.push_back(sn->id());
-        shard = std::make_unique<ShardMap>(std::move(ids), cl.vnodes);
-    }
+    std::vector<std::uint32_t> ids;
+    ids.reserve(cl.nodes);
+    for (auto &sn : serverNodes)
+        ids.push_back(sn->id());
+    shard = std::make_unique<ShardMap>(std::move(ids), ringVnodes);
 
     for (auto &sn : serverNodes)
         ctxs.push_back(std::make_unique<ServerCtx>(*this, *sn));
 
     // -- whole-node crash/restart schedules -----------------------------
-    if (cl.enabled && cl.crashRatePerSec > 0) {
-        for (std::uint32_t i = 0; i < nservers; ++i) {
+    if (cl.crashRatePerSec > 0) {
+        for (std::uint32_t i = 0; i < cl.nodes; ++i) {
             Node *n = serverNodes[i].get();
             FaultDomain &dom =
                 n->faults()->domain(n->name() + ".crash");
@@ -836,10 +853,6 @@ ServingSim::clusterHealthy() const
 void
 ServingSim::routeFlight(Flight &f)
 {
-    if (!cl.enabled) {
-        f.target = 1;
-        return;
-    }
     shard->replicas(f.kvKey, cl.replication, rsScratch);
     Tick now = eq.curTick();
     std::uint32_t n = std::uint32_t(rsScratch.size());
@@ -881,10 +894,8 @@ ServingSim::sendReq(std::uint64_t key, Flight &f)
 void
 ServingSim::armTimeout(std::uint64_t key, std::uint32_t send_no)
 {
-    double j = 1.0;
-    if (p.retryJitterFrac > 0.0)
-        j = 1.0 +
-            p.retryJitterFrac * (2.0 * retryJitter.uniform() - 1.0);
+    double j =
+        1.0 + retryJitterFrac * (2.0 * retryJitter.uniform() - 1.0);
     Tick to = Tick(double(baseTimeout << (send_no - 1)) * j);
     eq.scheduleRel(to, [this, key, send_no] {
         auto it = inFlight.find(key);
@@ -894,11 +905,9 @@ ServingSim::armTimeout(std::uint64_t key, std::uint32_t send_no)
         // Failure detection IS the timeout: suspect whoever we were
         // waiting on and advance the failover cursor, so the next
         // send lands on a different replica.
-        if (cl.enabled) {
-            suspectUntil[it->second.target] =
-                eq.curTick() + cl.suspectTicks;
-            ++it->second.rsOffset;
-        }
+        suspectUntil[it->second.target] =
+            eq.curTick() + cl.suspectTicks;
+        ++it->second.rsOffset;
         // Deadline-aware retry: resending a request whose deadline
         // already passed only amplifies overload (the retry is shed
         // server-side anyway), so a dead request is abandoned instead
@@ -943,17 +952,12 @@ ServingSim::fire()
         return;
     std::uint64_t key = ++res.sent; // rpcKey = 1-based send index
     bool get = ops.uniformDouble() < p.getFraction;
-    std::uint64_t kvKey = 0;
-    std::uint64_t version = 0;
-    if (cl.enabled) {
-        // Cluster traffic targets a logical key space; versions are
-        // client-assigned and monotone, so replica install-if-newer
-        // resolves every duplicate and reordering. Both draws come
-        // from a stream no other mode consumes.
-        kvKey = kvKeys.uniformInt(1, cl.keySpace);
-        if (!get)
-            version = ++versionCtr;
-    }
+    // Requests target a logical key space; versions are
+    // client-assigned and monotone, so replica install-if-newer
+    // resolves every duplicate and reordering. The key draw has a
+    // stream of its own, so it moves no other draw.
+    std::uint64_t kvKey = kvKeys.uniformInt(1, keySpace);
+    std::uint64_t version = get ? 0 : ++versionCtr;
     Tick now = eq.curTick();
     Flight f;
     f.firstSend = now;
@@ -994,7 +998,10 @@ ServingSim::onReply(const PacketPtr &pkt, Tick now)
         if (it->second.deadline == 0 || now <= it->second.deadline)
             ++res.goodRpcs;
     }
-    if (cl.enabled) {
+    // A version-0 reply is unversioned (a handler served it from
+    // on-DIMM state, outside the replica stores): it neither enters
+    // the ledger nor takes part in the staleness check.
+    if (pkt->rpcVersion > 0) {
         if (!it->second.get) {
             // Acked-write ledger: the durability obligation the
             // end-of-run audit checks against surviving replicas.
@@ -1003,7 +1010,7 @@ ServingSim::onReply(const PacketPtr &pkt, Tick now)
                 a.version = it->second.version;
                 a.at = now;
             }
-        } else if (pkt->rpcVersion > 0) {
+        } else {
             // Read-your-writes staleness: a GET *issued after* a
             // write of this key was acked must not return an older
             // version.
@@ -1033,13 +1040,13 @@ ServingSim::run()
     if (p.probe && server.netdimm()) {
         NetDimmDevice *nd = server.netdimm();
         std::vector<Addr> pages;
-        pages.reserve(p.probePages);
+        pages.reserve(probePages);
         Addr first = nd->regionBase() + nd->localBytes() / 4;
-        for (std::uint32_t i = 0; i < p.probePages; ++i)
+        for (std::uint32_t i = 0; i < probePages; ++i)
             pages.push_back(first + Addr(i) * pageBytes);
         probe = std::make_unique<MemLatencyProbe>(
             eq, "probe", server, std::move(pages),
-            nsToTicks(p.probeThinkNs));
+            nsToTicks(probeThinkNs));
         MemLatencyProbe *pr = probe.get();
         eq.schedule(span / 5, [pr] {
             pr->start();
@@ -1050,9 +1057,9 @@ ServingSim::run()
     if (p.mlc && server.netdimm()) {
         NetDimmDevice *nd = server.netdimm();
         std::vector<Addr> pages;
-        pages.reserve(2 * std::size_t(p.mlcPages));
+        pages.reserve(2 * std::size_t(mlcPages));
         Addr first = nd->regionBase() + nd->localBytes() / 2;
-        for (std::uint32_t i = 0; i < 2 * p.mlcPages; ++i)
+        for (std::uint32_t i = 0; i < 2 * mlcPages; ++i)
             pages.push_back(first + Addr(i) * pageBytes);
         mlc = std::make_unique<MlcInjector>(
             eq, "mlc", server, /*inject_delay=*/0, std::move(pages),
@@ -1104,46 +1111,41 @@ ServingSim::run()
             res.faultsUnrecovered += reg->unrecovered();
             res.ledgerClosed = res.ledgerClosed && reg->ledgerClosed();
         }
+        res.crashes += sn.crashesInjected();
+        res.restarts += sn.restarts();
+        res.resyncBytes += sn.resyncBytes();
     }
+    res.failoverRedirects = client->failoverRedirects();
+    res.staleReads = client->staleReads();
 
-    if (cl.enabled) {
-        for (auto &sn : serverNodes) {
-            res.crashes += sn->crashesInjected();
-            res.restarts += sn->restarts();
-            res.resyncBytes += sn->resyncBytes();
-        }
-        res.failoverRedirects = client->failoverRedirects();
-        res.staleReads = client->staleReads();
+    Tick totalDown = 0;
+    for (auto &c : ctxs) {
+        Tick d = c->downTicks;
+        if (!c->node.alive() || c->resyncing)
+            d += eq.curTick() - c->downStart; // still open
+        totalDown += d;
+    }
+    if (span > 0)
+        res.deadFraction = double(totalDown) /
+                           (double(cl.nodes) * double(span));
 
-        Tick totalDown = 0;
-        for (auto &c : ctxs) {
-            Tick d = c->downTicks;
-            if (!c->node.alive() || c->resyncing)
-                d += eq.curTick() - c->downStart; // still open
-            totalDown += d;
-        }
-        if (span > 0)
-            res.deadFraction = double(totalDown) /
-                               (double(nservers) * double(span));
-
-        // Durability audit: every acknowledged write must still be
-        // held, at its acked version or newer, by at least one member
-        // of its replica set.
-        res.ackedPuts = acked.size();
-        for (const auto &[k, a] : acked) {
-            shard->replicas(k, cl.replication, rsScratch);
-            bool held = false;
-            for (std::uint32_t id : rsScratch) {
-                const auto &st = ctxs[id - 1]->store;
-                auto f = st.find(k);
-                if (f != st.end() && f->second >= a.version) {
-                    held = true;
-                    break;
-                }
+    // Durability audit: every acknowledged write must still be held,
+    // at its acked version or newer, by at least one member of its
+    // replica set.
+    res.ackedPuts = acked.size();
+    for (const auto &[k, a] : acked) {
+        shard->replicas(k, cl.replication, rsScratch);
+        bool held = false;
+        for (std::uint32_t id : rsScratch) {
+            const auto &st = ctxs[id - 1]->store;
+            auto f = st.find(k);
+            if (f != st.end() && f->second >= a.version) {
+                held = true;
+                break;
             }
-            if (!held)
-                ++res.lostAckedWrites;
         }
+        if (!held)
+            ++res.lostAckedWrites;
     }
     return res;
 }

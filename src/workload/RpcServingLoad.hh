@@ -25,13 +25,15 @@
  * (ticks). The whole cell is deterministic for a given params struct:
  * results merge and print byte-identically at any --jobs.
  *
- * Cluster mode (ServingParams::cluster, DESIGN.md §15) generalizes
- * the cell to N serving nodes behind a switch: keys map to R-way
- * replica sets on a consistent-hash ring, PUTs are acknowledged only
- * after every replica installed them, whole-node crash/restart
+ * The cluster knobs (ServingParams::cluster, DESIGN.md §15) widen
+ * the same cell to N serving nodes behind a switch: keys map to
+ * R-way replica sets on a consistent-hash ring, PUTs are acknowledged
+ * only after every replica installed them, whole-node crash/restart
  * faults wipe a node's volatile state, clients fail over past dead
  * primaries via their request timeouts, and a restarted node
- * re-syncs its shards from peers before rejoining the serve set.
+ * re-syncs its shards from peers before rejoining the serve set. At
+ * the defaults (one node, R=1, no crashes) all of that is inert
+ * bookkeeping and the cell is the single-server harness.
  */
 
 #ifndef NETDIMM_WORKLOAD_RPCSERVINGLOAD_HH
@@ -67,32 +69,25 @@ enum class ShedPolicy : std::uint8_t
 const char *shedPolicyName(ShedPolicy s);
 
 /**
- * Replicated-cluster serving mode (DESIGN.md §15): N serving nodes
- * behind a consistent-hash shard map with R-way replication, a
- * whole-node crash/restart fault model, client failover, and
- * resync-before-rejoin for restarted nodes.
+ * Replicated serving tier (DESIGN.md §15): N serving nodes behind a
+ * consistent-hash shard map with R-way replication, a whole-node
+ * crash/restart fault model, client failover, and resync-before-rejoin
+ * for restarted nodes.
  *
- * With enabled=false (default) the workload is the single-server
- * harness, byte-identical to every pre-cluster golden. With
- * enabled=true but nodes=1, replication=1 and crashRatePerSec=0 the
- * cluster machinery is structurally inert: same topology, same event
- * order, same RNG consumption on every shared stream — the serving
- * digest stays byte-identical to the disabled path (asserted by
- * bench/serving_failover's golden cell).
+ * The shard map, key/version draws and the acked-write ledger always
+ * run; they are bookkeeping on their own RNG stream and schedule no
+ * event. So at the defaults (nodes=1, replication=1,
+ * crashRatePerSec=0) the cell is the single-server harness, event for
+ * event (pinned by tests/test_serving.cpp's golden digests).
  */
 struct ClusterServingParams
 {
-    bool enabled = false;
     /** Serving nodes (ids 1..N behind a switch; 1 keeps the direct
      *  client-server link of the single-node harness). */
     std::uint32_t nodes = 1;
     /** Replica count R per key. A PUT is acknowledged only after all
      *  R replicas installed it (strict primary-backup). */
     std::uint32_t replication = 1;
-    /** Logical KV key space; keys are drawn uniformly from [1, N]. */
-    std::uint64_t keySpace = 2048;
-    /** Virtual points per node on the consistent-hash ring. */
-    std::uint32_t vnodes = 48;
     /** Per-node whole-node crash hazard, events per simulated second
      *  (0 = no crashes, no draws). Crash instants come from each
      *  node's own "<node>.crash" FaultDomain. */
@@ -101,10 +96,6 @@ struct ClusterServingParams
     Tick restartDelay = usToTicks(300);
     /** How long the client avoids a node after a timeout on it. */
     Tick suspectTicks = usToTicks(200);
-    /** KV entries per shard re-sync frame. */
-    std::uint32_t syncBatch = 5;
-    /** Coordinator retransmit period for unacked replica writes. */
-    Tick replRetryTimeout = usToTicks(50);
 };
 
 /** One serving cell's knobs. */
@@ -135,36 +126,21 @@ struct ServingParams
      */
     bool emptyMatchTable = false;
 
-    // -- host application model ---------------------------------------
-    /** Concurrent application workers on the server. */
-    std::uint32_t appWorkers = 2;
-    /** Per-request compute cost, core cycles at the host clock. */
-    std::uint64_t appServiceCycles = 6000;
-    /** Host-side KV working set, pages. */
-    std::uint32_t kvPages = 64;
-
-    // -- interference probe (NetDIMM placements only) ------------------
+    // -- interference co-runners (NetDIMM placements only) -------------
     /**
      * Run a dependent-load latency probe on the server against pages
      * inside the NetDIMM window for the middle 60% of the cell, so
      * host reads and handler DRAM traffic contend on the local
      * memory controller under the configured arbitration policy.
      */
-    /** Probe working set; default exceeds the LLC so dependent
-     *  loads actually reach the local memory controller. */
     bool probe = false;
-    std::uint32_t probePages = 1024;
-    double probeThinkNs = 100.0;
     /**
      * Also run an MLC-style bandwidth injector over NetDIMM-window
      * pages for the same middle window: sustained host-class load on
      * the local MC, so the arbitration policy visibly shifts both
      * the injector's achieved bandwidth and the handler tail.
      */
-    /** Per stream (read + write); 2 x 1024 pages = 8 MB, four times
-     *  the LLC, so the injector streams mostly miss. */
     bool mlc = false;
-    std::uint32_t mlcPages = 1024;
 
     // -- request reliability (DESIGN.md §14) ---------------------------
     /**
@@ -178,13 +154,10 @@ struct ServingParams
      *  disables timeout tracking entirely (no extra events). */
     std::uint32_t maxRetries = 0;
     /** Base client timeout before the first retry; doubles per
-     *  attempt (exponential backoff). 0 with maxRetries > 0 defaults
-     *  to 2x the deadline budget. */
+     *  attempt (exponential backoff) with a deterministic +/-10%
+     *  jitter. 0 with maxRetries > 0 defaults to 2x the deadline
+     *  budget. */
     Tick retryTimeout = 0;
-    /** Deterministic +/- jitter fraction applied to each backoff
-     *  (drawn from a named FaultDomain stream, so the schedule is a
-     *  pure function of the config seed). */
-    double retryJitterFrac = 0.1;
     /** Hedged requests: race a duplicate after max(hedgeFloor,
      *  running p99) if the reply has not arrived; first reply wins. */
     bool hedge = false;
@@ -292,7 +265,8 @@ struct ServingResult
     double deadFraction = 0.0;
 };
 
-/** Build a two-node serving cell from @p base and run it. */
+/** Build a serving cell (a client plus cluster.nodes servers) from
+ *  @p base and run it. */
 ServingResult runServing(const SystemConfig &base,
                          const ServingParams &p);
 

@@ -18,7 +18,6 @@ fig9Geometry()
     DramGeometry geo;
     geo.channels = 1;
     geo.ranksPerChannel = 2;
-    geo.devicesPerRank = 8;
     geo.banksPerDevice = 16;
     geo.subArraysPerBank = 512;
     geo.rowsPerSubArray = 128;

@@ -18,7 +18,6 @@ localGeo()
     DramGeometry g;
     g.channels = 1;
     g.ranksPerChannel = 2;
-    g.devicesPerRank = 8;
     g.banksPerDevice = 16;
     g.subArraysPerBank = 512;
     g.rowsPerSubArray = 128;

@@ -54,22 +54,6 @@ TEST(Average, ResetClears)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOutOfRange)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.sample(i + 0.5);
-    h.sample(-1.0);
-    h.sample(10.0); // hi edge is exclusive
-    EXPECT_EQ(h.count(), 12u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_EQ(h.bucket(i), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-}
-
 TEST(Quantile, ExactPercentilesOnSmallSet)
 {
     Quantile q;
