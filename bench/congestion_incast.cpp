@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/LatencyHistogram.hh"
 #include "net/Switch.hh"
 #include "transport/FaultInjector.hh"
 #include "transport/TransportHost.hh"
@@ -62,12 +63,12 @@ struct FlowChain
     int remaining = kFlowsPerSender;
     std::unique_ptr<TransportFlow> current;
     std::vector<std::unique_ptr<TransportFlow>> done;
-    stats::Quantile &fct;
+    LatencyHistogram &fct; ///< flow-completion times, ticks
     IncastStats &agg;
 
     FlowChain(EventQueue &e, TransportHost &t, TransportHost &r,
               const TransportConfig &c, std::uint64_t first_id,
-              stats::Quantile &q, IncastStats &a)
+              LatencyHistogram &q, IncastStats &a)
         : eq(e), tx(t), rx(r), cfg(c), nextFlowId(first_id), fct(q),
           agg(a)
     {
@@ -97,7 +98,7 @@ struct FlowChain
         if (f.aborted()) {
             ++agg.aborted;
         } else {
-            fct.sample(ticksToUs(f.fct()));
+            fct.sample(f.fct());
         }
         done.push_back(std::move(current));
         if (--remaining > 0)
@@ -119,14 +120,15 @@ runIncast(int fanin, double loss_rate, std::uint64_t seed)
     rxNode.connectTo(down);
     sw.addRoute(0, &down);
 
-    FaultInjector inj(FaultConfig{loss_rate, 0.0, seed});
+    FaultDomain wire("link", seed);
+    FaultInjector inj(wire, loss_rate, 0.0);
     if (loss_rate > 0.0)
         down.setFaultHook(&inj);
 
     TransportHost rxHost(eq, "rxhost", rxNode);
 
     IncastStats r;
-    stats::Quantile fct;
+    LatencyHistogram fct;
     std::uint64_t delivered = 0;
     rxHost.setRawHandler([](const PacketPtr &, Tick) {});
 
@@ -166,8 +168,8 @@ runIncast(int fanin, double loss_rate, std::uint64_t seed)
     r.queueDrops = sw.dropsQueue();
     r.faultDrops = down.framesDropped();
     r.maxDepth = sw.maxQueueDepth();
-    r.p50FctUs = fct.percentile(0.50);
-    r.p99FctUs = fct.percentile(0.99);
+    r.p50FctUs = fct.percentile(0.50) / double(tickPerUs);
+    r.p99FctUs = fct.percentile(0.99) / double(tickPerUs);
     return r;
 }
 

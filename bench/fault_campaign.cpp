@@ -100,7 +100,7 @@ runOne(const std::string &cls, double rate, double windowUs)
     if (fc.enabled &&
         (fc.linkDropProb > 0.0 || fc.linkCorruptProb > 0.0)) {
         inj = std::make_unique<FaultInjector>(
-            *tx.faults(), "wire.link", fc.linkDropProb,
+            tx.faults()->domain("wire.link"), fc.linkDropProb,
             fc.linkCorruptProb);
         link.setFaultHook(inj.get());
     }

@@ -107,16 +107,11 @@ struct Knobs
         // the p99 the gate compares.
         eth.switchQueueFrames = 0;
         eth.ecnThresholdFrames = 128;
-        // Enqueue marking (the EthConfig default) on purpose: its
-        // congestion-proportional feedback delay drives a large
-        // *deterministic* relaxation oscillation whose amplitude the
-        // fluid model reproduces through the same echo-arrival lag
-        // (FluidLink::congestedLagged). The alternative DCTCP-style
-        // regime (eth.ecnMarkDequeue + a slower rate timer) regulates
-        // the queue tightly at the threshold, but there the p99 tail
-        // is set by stochastic frame bunching across 1024 senders —
-        // exactly what a deterministic rate model smooths away — so
-        // the shallow regime cannot meet a +-5% tail gate by design.
+        // Switches mark at enqueue: the congestion-proportional
+        // feedback delay drives a large *deterministic* relaxation
+        // oscillation whose amplitude the fluid model reproduces
+        // through the same echo-arrival lag
+        // (FluidLink::congestedLagged).
         // DCQCN scaled to the ~39 Mbps fair share of 1024 flows on
         // 40 Gbps (the defaults are sized for a handful of multi-Gbps
         // flows; at 1024 flows they would add >10% of the bottleneck

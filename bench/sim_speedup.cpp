@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +47,7 @@
 #include <new>
 #include <string>
 #include <sys/resource.h>
+#include <vector>
 
 #include "harness/SweepRunner.hh"
 #include "net/Link.hh"
@@ -444,40 +446,45 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    bool shortMode = false;
     const char *outPath = "BENCH_simcore.json";
     const char *baselinePath = nullptr;
     double tolerance = 0.20;
-    unsigned jobs = 0; // 0 = hardware concurrency
+
+    // Valued flags are peeled off first; the remainder goes through
+    // the shared sweep-CLI parser (which owns --short and --jobs).
+    std::vector<std::string> args;
+    std::string error;
     for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--short") == 0) {
-            shortMode = true;
-        } else if (std::strcmp(argv[a], "--out") == 0 &&
-                   a + 1 < argc) {
+        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
             outPath = argv[++a];
         } else if (std::strcmp(argv[a], "--baseline") == 0 &&
                    a + 1 < argc) {
             baselinePath = argv[++a];
         } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
                    a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--jobs") == 0 &&
-                   a + 1 < argc) {
-            jobs = unsigned(std::atoi(argv[++a]));
+            const char *v = argv[++a];
+            char *end = nullptr;
+            tolerance = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !std::isfinite(tolerance) ||
+                tolerance < 0.0)
+                error = std::string("--tolerance must be a "
+                                    "non-negative number (got '") +
+                        v + "')";
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--short] [--out FILE] "
-                         "[--baseline FILE] [--tolerance F] "
-                         "[--jobs N]\n",
-                         argv[0]);
-            return 2;
+            args.push_back(argv[a]);
         }
     }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
+    SweepCli cli;
+    if (!error.empty() || !tryParseSweepCli(args, {}, cli, error)) {
+        std::fprintf(stderr,
+                     "%s: %s\n"
+                     "usage: %s [--short] [--jobs N] [--out FILE] "
+                     "[--baseline FILE] [--tolerance F]\n",
+                     argv[0], error.c_str(), argv[0]);
+        return 2;
     }
+    const bool shortMode = cli.shortMode;
+    const unsigned jobs = cli.jobs;
 
     const int npackets = shortMode ? 6000 : 40000;
     const std::uint64_t churnFlows = 64;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "harness/LatencyHistogram.hh"
 #include "net/Link.hh"
 #include "kernel/Node.hh"
 
@@ -45,7 +46,7 @@ runKv(NicKind kind, std::uint32_t value_bytes, int requests)
     client.connectTo(link);
     server.connectTo(link);
 
-    stats::Quantile rtt;
+    LatencyHistogram rtt; ///< ticks
     int done = 0;
     Tick issue_at = 0;
     Tick last_response = 0;
@@ -67,7 +68,7 @@ runKv(NicKind kind, std::uint32_t value_bytes, int requests)
     };
     client.setReceiveHandler([&](const PacketPtr &, Tick t) {
         if (done++ >= warmup)
-            rtt.sample(ticksToUs(t - issue_at));
+            rtt.sample(t - issue_at);
         last_response = t;
         issue();
     });
@@ -77,8 +78,8 @@ runKv(NicKind kind, std::uint32_t value_bytes, int requests)
     eq.run();
 
     KvResult r;
-    r.meanUs = rtt.mean();
-    r.p99Us = rtt.percentile(0.99);
+    r.meanUs = rtt.mean() / double(tickPerUs);
+    r.p99Us = rtt.percentile(0.99) / double(tickPerUs);
     double secs = ticksToSec(last_response - start);
     r.kops = double(requests + warmup) / secs / 1e3;
     return r;

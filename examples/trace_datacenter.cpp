@@ -20,6 +20,7 @@
 #include <iostream>
 #include <map>
 
+#include "harness/LatencyHistogram.hh"
 #include "net/Switch.hh"
 #include "kernel/Node.hh"
 #include "workload/TraceFile.hh"
@@ -70,9 +71,9 @@ main(int argc, char **argv)
     rx.setWire(
         [&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 
-    stats::Quantile lat;
+    LatencyHistogram lat; ///< ticks
     rx.setReceiveHandler([&](const PacketPtr &pkt, Tick) {
-        lat.sample(ticksToUs(pkt->oneWayLatency()));
+        lat.sample(pkt->oneWayLatency());
     });
 
     // Packet stream: a trace file if given, else synthesized from
@@ -103,12 +104,16 @@ main(int argc, char **argv)
     std::printf("cluster=%s nic=%s switch=%.0fns packets=%llu\n\n",
                 clusterName(cluster), nicKindName(kind), switch_ns,
                 (unsigned long long)lat.count());
-    std::printf("one-way latency  mean %7.3f us\n", lat.mean());
-    std::printf("                 p50  %7.3f us\n", lat.percentile(0.5));
-    std::printf("                 p90  %7.3f us\n", lat.percentile(0.9));
+    const double us = double(tickPerUs);
+    std::printf("one-way latency  mean %7.3f us\n", lat.mean() / us);
+    std::printf("                 p50  %7.3f us\n",
+                lat.percentile(0.5) / us);
+    std::printf("                 p90  %7.3f us\n",
+                lat.percentile(0.9) / us);
     std::printf("                 p99  %7.3f us\n",
-                lat.percentile(0.99));
-    std::printf("                 max  %7.3f us\n", lat.max());
+                lat.percentile(0.99) / us);
+    std::printf("                 max  %7.3f us\n",
+                ticksToUs(lat.maxValue()));
 
     if (argc > 4 && std::strcmp(argv[4], "--stats") == 0) {
         std::printf("\n");

@@ -176,11 +176,6 @@ class FluidLink : public FluidBackground
         double ecn = ecnWireBytes();
         if (ecn <= 0.0 || _capBps <= 0.0)
             return false;
-        // Dequeue marking reports the depth as the frame departs and
-        // reaches the sender a wire RTT later — well inside one
-        // solver round — so the echo is the current backlog.
-        if (_cfg.ecnMarkDequeue)
-            return congested();
         for (auto it = _history.rbegin(); it != _history.rend(); ++it)
             if (double(it->first) + it->second / _capBps <=
                 double(now))

@@ -11,10 +11,10 @@
  * bits). count/min/max/sum are exact, so mean() carries no binning
  * error at all.
  *
- * Replaces the per-bench stats::Quantile full-sort copies: O(1)
- * memory regardless of sample count, O(buckets) percentile reads,
- * and merge() lets sweep cells aggregate deterministically (results
- * merge in grid order, so tables stay byte-identical at any --jobs).
+ * The repo's one percentile estimator: O(1) memory regardless of
+ * sample count, O(buckets) percentile reads, and merge() lets sweep
+ * cells aggregate deterministically (results merge in grid order, so
+ * tables stay byte-identical at any --jobs).
  */
 
 #ifndef NETDIMM_HARNESS_LATENCYHISTOGRAM_HH

@@ -154,8 +154,6 @@ class Driver : public SimObject
     Tick
     pollPhase()
     {
-        if (!_cfg.sw.modelPollPhase)
-            return 0;
         Tick iter = _cfg.cpu.cycles(_cfg.cpu.pollIterationCycles);
         return iter ? _rng.uniformInt(0, iter - 1) : 0;
     }

@@ -103,39 +103,6 @@ MemoryController::pickBeat(Beat &out)
         order[1] = &_writeQ;
     }
 
-    if (_handlerQueued == 0) {
-        // Host-only traffic: the legacy FR-FCFS-lite path, untouched
-        // so existing configurations stay bit-identical.
-        for (BeatQueue *q : order) {
-            // Among the beats already ready, prefer a row hit within
-            // a small scan window, else the oldest ready one.
-            constexpr std::size_t scanWindow = 8;
-            std::size_t limit = std::min(q->size(), scanWindow);
-            std::size_t first_ready = limit;
-            std::size_t hit = limit;
-            for (std::size_t i = 0; i < limit; ++i) {
-                const Beat &b = (*q)[i];
-                if (b.ready > curTick())
-                    continue;
-                if (first_ready == limit)
-                    first_ready = i;
-                BankState &bs = _banks[b.bankIdx];
-                if (bs.rowOpen && bs.openRow == b.row) {
-                    hit = i;
-                    break;
-                }
-            }
-            std::size_t pick = (hit != limit) ? hit : first_ready;
-            if (pick == limit)
-                continue;
-            out = std::move((*q)[pick]);
-            q->erase(pick);
-            return true;
-        }
-        return false;
-    }
-
-    // Handler beats queued: class-aware arbitration (MemArbPolicy).
     for (BeatQueue *q : order) {
         std::size_t pick = pickClassAware(*q);
         if (pick == q->size())
@@ -157,7 +124,15 @@ MemoryController::pickClassAware(const BeatQueue &q) const
     // Per-class FR-FCFS candidates: within each requestor class,
     // prefer a row hit among the first scanWindow ready beats of that
     // class, else the class's oldest ready beat. The policy then
-    // chooses between the two class candidates.
+    // chooses between the two class candidates; with no handler beat
+    // queued every policy returns the host candidate.
+    //
+    // Ready times are nondecreasing along a queue (see service()), so
+    // the ready beats form a prefix and the scan stops at the first
+    // one still in the frontend pipeline. A class's candidate is
+    // settled at its first row hit or once its window is full; the
+    // scan stops when every class that can be queued is settled, so a
+    // host-only pick costs at most scanWindow beats.
     constexpr std::size_t scanWindow = 8;
     const std::size_t npos = q.size();
     struct Cand
@@ -167,20 +142,23 @@ MemoryController::pickClassAware(const BeatQueue &q) const
         std::size_t seen = 0;
     };
     Cand cand[2] = {{npos, npos}, {npos, npos}};
+    auto settled = [npos](const Cand &c) {
+        return c.hit != npos || c.seen >= scanWindow;
+    };
     for (std::size_t i = 0; i < q.size(); ++i) {
         const Beat &b = q[i];
         if (b.ready > curTick())
-            continue;
+            break;
         Cand &c = cand[b.handler ? 1 : 0];
-        if (c.seen >= scanWindow)
+        if (settled(c))
             continue;
         ++c.seen;
         if (c.firstReady == npos)
             c.firstReady = i;
         const BankState &bs = _banks[b.bankIdx];
-        if (c.hit == npos && bs.rowOpen && bs.openRow == b.row)
+        if (bs.rowOpen && bs.openRow == b.row)
             c.hit = i;
-        if (cand[0].seen >= scanWindow && cand[1].seen >= scanWindow)
+        if (settled(cand[0]) && (_handlerQueued == 0 || settled(cand[1])))
             break;
     }
     std::size_t host =
@@ -252,8 +230,8 @@ MemoryController::issueBeat(const Beat &beat)
     Tick bus_start = std::max(cas_at + cl, _busReady);
     // A handler beat may have been held past its ready time by the
     // arbitration policy (StaticCap masking) with the bus idle; it
-    // cannot burst in the past. Host beats are never masked, so this
-    // clamp leaves the legacy timing untouched.
+    // cannot burst in the past. Host beats are never masked, so the
+    // clamp applies to handler beats only.
     if (beat.handler)
         bus_start = std::max(bus_start, curTick());
     Tick done = bus_start + burst;

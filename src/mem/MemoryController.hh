@@ -249,9 +249,9 @@ class MemoryController : public SimObject, public MemTarget
     Tick _serviceAt = 0; ///< tick of the earliest pending service event
 
     // -- handler-class arbitration state ------------------------------
-    /** Handler beats currently queued (both queues). When zero the
-     *  scheduler takes the exact legacy path, so host-only configs
-     *  are bit-identical to the pre-handler controller. */
+    /** Handler beats currently queued (both queues). When zero,
+     *  service() issues eagerly and the picker's scan stops once the
+     *  host candidate is settled. */
     std::size_t _handlerQueued = 0;
     /** Fair policy: next contended pick goes to the handler class.
      *  Mutated by the (logically const) candidate selection. */

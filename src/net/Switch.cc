@@ -16,7 +16,6 @@ Switch::Switch(EventQueue &eq, std::string name, const EthConfig &cfg)
     : Switch(eq, std::move(name), cfg.switchLatency,
              cfg.switchQueueFrames, cfg.ecnThresholdFrames)
 {
-    _ecnDequeue = cfg.ecnMarkDequeue;
 }
 
 Switch::EcmpGroup
@@ -213,7 +212,7 @@ Switch::enqueue(EthLink *out, const PacketPtr &pkt)
                  static_cast<unsigned long long>(pkt->id));
         return;
     }
-    if (!_ecnDequeue && _ecnThreshold > 0 && depth >= _ecnThreshold) {
+    if (_ecnThreshold > 0 && depth >= _ecnThreshold) {
         pkt->ecnMarked = true;
         _ecnMarks.inc();
     }
@@ -235,21 +234,6 @@ Switch::drain(EthLink *out)
     port.draining = true;
     PacketPtr pkt = port.queue.front();
     port.queue.pop_front();
-    if (_ecnDequeue && _ecnThreshold > 0) {
-        // DCTCP-style: mark against the depth the departing frame
-        // leaves behind (itself included), so the echo reports the
-        // queue as it is *now*, not as it was a full queue-wait ago.
-        std::size_t depth = port.queue.size() + 1;
-        if (!_bg.empty()) {
-            auto it = _bg.find(out);
-            if (it != _bg.end() && it->second)
-                depth += it->second->backlogFramesAt(curTick());
-        }
-        if (depth >= _ecnThreshold) {
-            pkt->ecnMarked = true;
-            _ecnMarks.inc();
-        }
-    }
     out->send(this, pkt);
     // The next frame may start once this one finished serializing.
     scheduleRel(out->frameTicks(pkt->bytes),

@@ -90,8 +90,7 @@ class Switch : public SimObject, public NetEndpoint
     {
         return _dropsLinkDown.value();
     }
-    /** Frames ECN-marked (at enqueue, or at dequeue when the
-     *  EthConfig sets ecnMarkDequeue). */
+    /** Frames ECN-marked at enqueue. */
     std::uint64_t ecnMarks() const { return _ecnMarks.value(); }
     /** Deepest egress queue observed (frames), across all ports. */
     std::uint64_t maxQueueDepth() const { return _maxDepth; }
@@ -146,8 +145,6 @@ class Switch : public SimObject, public NetEndpoint
     Tick _portLatency;
     std::uint32_t _queueFrames;
     std::uint32_t _ecnThreshold;
-    /** Mark at dequeue (EthConfig::ecnMarkDequeue). */
-    bool _ecnDequeue = false;
     RouteTable<EcmpGroup> _routes;
     /** Links this switch already listens to for up/down edges. */
     std::set<EthLink *> _watched;

@@ -5,20 +5,6 @@
 namespace netdimm::stats
 {
 
-double
-Quantile::percentile(double q) const
-{
-    ND_ASSERT(q >= 0.0 && q <= 1.0);
-    if (_samples.empty())
-        return 0.0;
-    std::sort(_samples.begin(), _samples.end());
-    double pos = q * double(_samples.size() - 1);
-    auto lo = std::size_t(pos);
-    auto hi = std::min(lo + 1, _samples.size() - 1);
-    double frac = pos - double(lo);
-    return _samples[lo] * (1.0 - frac) + _samples[hi] * frac;
-}
-
 void
 StatGroup::print(std::ostream &os) const
 {

@@ -2,13 +2,12 @@
  * @file
  * Lightweight statistics package.
  *
- * Components expose Scalar / Average / Quantile stats; benches and
- * examples read them directly or through a StatGroup dump. Bucketed
- * latency distributions use the mergeable harness/LatencyHistogram,
- * the repo's one histogram. The design
- * intentionally avoids a global registry: every stat belongs to the
- * component that owns it, and a StatGroup is just a named collection
- * used for pretty-printing.
+ * Components expose Scalar / Average stats; benches and examples
+ * read them directly or through a StatGroup dump. Percentiles come
+ * from the mergeable harness/LatencyHistogram, the repo's one
+ * histogram. The design intentionally avoids a global registry:
+ * every stat belongs to the component that owns it, and a StatGroup
+ * is just a named collection used for pretty-printing.
  */
 
 #ifndef NETDIMM_SIM_STATS_HH
@@ -84,50 +83,6 @@ class Average
     double _sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Sample store with exact quantiles; used where the paper reports
- * per-packet latency distributions. Memory-bounded via reservoir
- * sampling beyond a cap.
- */
-class Quantile
-{
-  public:
-    explicit Quantile(std::size_t cap = 1u << 20) : _cap(cap) {}
-
-    void
-    sample(double v)
-    {
-        ++_n;
-        _mean.sample(v);
-        if (_samples.size() < _cap) {
-            _samples.push_back(v);
-        } else {
-            // Reservoir replacement keeps an unbiased subsample; the
-            // index derives from a deterministic integer hash of the
-            // running sample count.
-            std::uint64_t h = _n * 0x9E3779B97F4A7C15ull;
-            h ^= h >> 33;
-            std::uint64_t j = h % _n;
-            if (j < _cap)
-                _samples[std::size_t(j)] = v;
-        }
-    }
-
-    std::uint64_t count() const { return _n; }
-    double mean() const { return _mean.mean(); }
-    double min() const { return _mean.min(); }
-    double max() const { return _mean.max(); }
-
-    /** Quantile q in [0,1]; interpolated between order statistics. */
-    double percentile(double q) const;
-
-  private:
-    std::size_t _cap;
-    std::uint64_t _n = 0;
-    Average _mean;
-    mutable std::vector<double> _samples;
 };
 
 /** A name/value pair list for printing component stats uniformly. */

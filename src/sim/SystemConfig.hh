@@ -132,9 +132,9 @@ struct DramGeometry
 /**
  * How a controller arbitrates the data bus between host-class beats
  * (CPU, DMA, nNIC, clone, prefetch) and handler-class beats issued by
- * the near-memory packet handler stage. Only consulted while handler
- * beats are queued; host-only traffic always takes the legacy
- * FR-FCFS path.
+ * the near-memory packet handler stage. Each class nominates its
+ * FR-FCFS candidate and the policy picks one; with no handler beat
+ * queued every policy picks the host candidate.
  */
 enum class MemArbPolicy : std::uint8_t
 {
@@ -233,16 +233,6 @@ struct EthConfig
      * ECN-marked (congestion experienced). 0 disables marking.
      */
     std::uint32_t ecnThresholdFrames = 16;
-    /**
-     * Mark frames against the instantaneous depth at *dequeue* time
-     * (DCTCP-style) instead of at enqueue. Enqueue marks echo back
-     * only after the marked frame has waited out the queue in front
-     * of it — a feedback delay that grows with the very congestion it
-     * reports and drives large relaxation oscillations; dequeue marks
-     * reach the sender a wire RTT after the depth they report, so the
-     * control loop stabilizes the queue near the threshold.
-     */
-    bool ecnMarkDequeue = false;
 };
 
 /**
@@ -482,8 +472,6 @@ struct SoftwareConfig
     std::uint64_t dmaBufAllocCycles = 300;
     /** Zero-copy per-packet buffer management / pinning, in cycles. */
     std::uint64_t zcpyMgmtCycles = 150;
-    /** Model the random polling-loop phase (off = deterministic). */
-    bool modelPollPhase = true;
 };
 
 /**

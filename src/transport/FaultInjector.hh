@@ -6,14 +6,12 @@
  * independent, seeded per-frame decisions to drop or corrupt frames,
  * so loss can be studied even without congestion.
  *
- * Two construction modes exist:
- *  - legacy standalone: a private PCG32 stream seeded from
- *    FaultConfig::seed (kept for existing benches/tests);
- *  - registry-backed: the injector draws from a named FaultDomain of
- *    a FaultRegistry, so link faults derive from the same master seed
- *    as memory and device faults and land in the same recovery
- *    ledger. Either way the same seed reproduces the same drop
- *    pattern bit-for-bit.
+ * Decisions draw from a FaultDomain the caller owns: a named domain
+ * of a FaultRegistry, so link faults derive from the same master seed
+ * as memory and device faults and land in the same recovery ledger,
+ * or a standalone FaultDomain built from its own seed. Either way the
+ * same domain name and seed reproduce the same drop pattern
+ * bit-for-bit.
  */
 
 #ifndef NETDIMM_TRANSPORT_FAULTINJECTOR_HH
@@ -21,46 +19,26 @@
 
 #include "net/Link.hh"
 #include "sim/Fault.hh"
-#include "sim/Random.hh"
 #include "sim/Stats.hh"
 
 namespace netdimm
 {
 
-/** Loss model of one faulty link. */
-struct FaultConfig
-{
-    /** Probability a frame vanishes on the wire. */
-    double dropProb = 0.0;
-    /** Probability a frame arrives with a bad FCS. */
-    double corruptProb = 0.0;
-    /** Seed of the injector's private random stream. */
-    std::uint64_t seed = 1;
-};
-
 class FaultInjector : public LinkFaultHook
 {
   public:
-    /** Legacy standalone mode: a private stream owned by this hook. */
-    explicit FaultInjector(const FaultConfig &cfg)
-        : _cfg(cfg), _owned(std::make_unique<FaultDomain>(
-                         "link", cfg.seed)),
-          _domain(_owned.get())
-    {
-        checkProbs();
-    }
-
     /**
-     * Registry-backed mode: draw decisions from the domain named
-     * @p domain_name of @p reg, so this link's fault schedule derives
-     * from the registry's master seed. @p reg must outlive the hook.
+     * Drop a frame with @p drop_prob and corrupt it with
+     * @p corrupt_prob, drawing from @p domain, which must outlive the
+     * hook.
      */
-    FaultInjector(FaultRegistry &reg, const std::string &domain_name,
-                  double drop_prob, double corrupt_prob)
-        : _cfg{drop_prob, corrupt_prob, reg.masterSeed()},
-          _domain(&reg.domain(domain_name))
+    FaultInjector(FaultDomain &domain, double drop_prob,
+                  double corrupt_prob)
+        : _domain(&domain), _dropProb(drop_prob),
+          _corruptProb(corrupt_prob)
     {
-        checkProbs();
+        ND_ASSERT(_dropProb >= 0.0 && _dropProb <= 1.0);
+        ND_ASSERT(_corruptProb >= 0.0 && _corruptProb <= 1.0);
     }
 
     Verdict
@@ -70,12 +48,12 @@ class FaultInjector : public LinkFaultHook
         // One uniform draw per frame keeps the stream consumption
         // independent of the configured probabilities.
         double u = _domain->uniform();
-        if (u < _cfg.dropProb) {
+        if (u < _dropProb) {
             _drops.inc();
             _domain->noteInjected();
             return Verdict::Drop;
         }
-        if (u < _cfg.dropProb + _cfg.corruptProb) {
+        if (u < _dropProb + _corruptProb) {
             _corruptions.inc();
             _domain->noteInjected();
             return Verdict::Corrupt;
@@ -94,17 +72,9 @@ class FaultInjector : public LinkFaultHook
     }
 
   private:
-    void
-    checkProbs() const
-    {
-        ND_ASSERT(_cfg.dropProb >= 0.0 && _cfg.dropProb <= 1.0);
-        ND_ASSERT(_cfg.corruptProb >= 0.0 && _cfg.corruptProb <= 1.0);
-    }
-
-    const FaultConfig _cfg;
-    /** Owned domain in standalone mode; null when registry-backed. */
-    std::unique_ptr<FaultDomain> _owned;
     FaultDomain *_domain;
+    double _dropProb;
+    double _corruptProb;
     stats::Scalar _judged, _drops, _corruptions;
 };
 

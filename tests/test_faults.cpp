@@ -165,8 +165,8 @@ TEST(FaultFramework, LedgerCountsInjectionsAndRecoveries)
 TEST(FaultFramework, RegistryBackedFaultInjectorIsDeterministic)
 {
     FaultRegistry a(11), b(11);
-    FaultInjector ia(a, "wire", 0.1, 0.05);
-    FaultInjector ib(b, "wire", 0.1, 0.05);
+    FaultInjector ia(a.domain("wire"), 0.1, 0.05);
+    FaultInjector ib(b.domain("wire"), 0.1, 0.05);
     for (int i = 0; i < 2000; ++i) {
         PacketPtr p = makePacket(64);
         EXPECT_EQ(int(ia.judge(p)), int(ib.judge(p)));

@@ -210,39 +210,6 @@ TEST(Switch, EcnMarksAboveThreshold)
     EXPECT_EQ(sw.dropsQueue(), 0u);
 }
 
-TEST(Switch, EcnMarkDequeueReportsDepthAtDeparture)
-{
-    // ecnMarkDequeue moves the marking decision to dequeue time: a
-    // frame is marked against the occupancy it leaves behind (itself
-    // included), not the occupancy it arrived into. Six frames
-    // arriving back-to-back: the first departs into an almost-empty
-    // system unmarked, the middle ones depart with >= 2 frames still
-    // present, and the *last* one finds the queue drained behind it
-    // — unmarked, where enqueue marking would have marked it.
-    EventQueue eq;
-    EthConfig cfg;
-    cfg.switchQueueFrames = 8;
-    cfg.ecnThresholdFrames = 2;
-    cfg.ecnMarkDequeue = true;
-    Switch sw(eq, "sw", cfg);
-    EthLink l(eq, "l", cfg);
-    SinkEndpoint n(eq);
-    l.connect(&sw, &n);
-    sw.setDefaultRoute(&l);
-
-    for (int i = 0; i < 6; ++i)
-        sw.deliver(makePacket(1460, 0, 1));
-    eq.run();
-
-    ASSERT_EQ(n.got.size(), 6u);
-    EXPECT_EQ(sw.ecnMarks(), 4u);
-    EXPECT_FALSE(n.got[0].first->ecnMarked);
-    for (std::size_t i = 1; i < 5; ++i)
-        EXPECT_TRUE(n.got[i].first->ecnMarked) << "frame " << i;
-    EXPECT_FALSE(n.got[5].first->ecnMarked);
-    EXPECT_EQ(sw.dropsQueue(), 0u);
-}
-
 TEST(Switch, UnboundedQueueNeverDrops)
 {
     EventQueue eq;

@@ -212,3 +212,85 @@ TEST(MemoryController, LatencyGrowsUnderLoad)
     Tick loaded = f.blockingRead(64) - t0;
     EXPECT_GT(loaded, lone);
 }
+
+TEST(MemoryController, HostOnlySchedulePinned)
+{
+    // Host-only FR-FCFS schedule pinned tick for tick. The traffic
+    // places row hits beyond the 8-beat scan window, crosses the
+    // write-drain watermark with reads queued behind the writes, and
+    // spreads arrivals in time, so a change to the scan window, the
+    // row-hit preference or the read/write order moves these ticks.
+    Fixture f;
+    const Addr slot = 128 * 1024; // same (bank, sub-array), next row
+    const DimmDecoder &dec = f.mc.decoder();
+    ASSERT_TRUE(dec.decode(0).sameBank(dec.decode(slot)));
+    ASSERT_NE(dec.decode(0).rowId(dec.geometry()),
+              dec.decode(slot).rowId(dec.geometry()));
+    ASSERT_FALSE(dec.decode(0).sameBank(dec.decode(pageBytes)));
+
+    std::vector<Tick> done;
+    auto issue = [&](Tick at, Addr addr, std::uint32_t size,
+                     bool write) {
+        std::size_t idx = done.size();
+        done.push_back(0);
+        f.eq.schedule(at, [&, idx, addr, size, write] {
+            f.mc.access(makeMemRequest(addr, size, write,
+                                       MemSource::HostCpu,
+                                       [&, idx](Tick t) {
+                                           done[idx] = t;
+                                       }));
+        });
+    };
+
+    // Open row 0 of the first bank.
+    issue(0, 0, 64, false);
+    // Ten row misses in a second bank, then two hits to the open row
+    // at queue positions 10 and 11: outside the window until three
+    // misses have issued.
+    const Tick t1 = nsToTicks(200);
+    for (int k = 1; k <= 10; ++k)
+        issue(t1, pageBytes + Addr(k) * slot, 64, false);
+    issue(t1, 64, 64, false);
+    issue(t1, 128, 64, false);
+    // 56 writes (past the 48-beat drain watermark) with six reads
+    // queued in the same tick: writes drain first, down to half the
+    // watermark, before the reads are served.
+    const Tick t2 = nsToTicks(1000);
+    for (int k = 0; k < 56; ++k)
+        issue(t2, Addr(k % 4) * pageBytes + Addr(k / 4) * slot, 64,
+              true);
+    for (int k = 0; k < 6; ++k)
+        issue(t2, Addr(k % 2) * pageBytes + Addr(k) * 64, 64, false);
+    // Staggered mixed traffic: two-beat reads and writes every 30 ns,
+    // alternating between a streaming row and a conflicting one.
+    const Tick t3 = nsToTicks(2500);
+    for (int k = 0; k < 20; ++k)
+        issue(t3 + Tick(k) * nsToTicks(30),
+              (k % 3 == 0 ? Addr(1 + k) * slot : Addr(k) * 128), 128,
+              k % 4 == 1);
+    f.eq.run();
+
+    const std::vector<Tick> pinned = {
+        // row 0 opened
+        47654,
+        // misses, then the two hits beyond the window
+        247654, 280974, 314294, 347614, 380934, 414254, 447574, 480894,
+        514214, 547534, 317626, 320958,
+        // writes
+        1033493, 1061815, 1065147, 1068479, 1071811, 1095135, 1098467,
+        1101799, 1105131, 1128455, 1131787, 1135119, 1138451, 1161775,
+        1165107, 1168439, 1171771, 1195095, 1198427, 1201759, 1205091,
+        1228415, 1231747, 1235079, 1238411, 1261735, 1265067, 1268399,
+        1271731, 1295055, 1298387, 1301719, 1343369, 1371691, 1375023,
+        1378355, 1381687, 1405011, 1408343, 1411675, 1415007, 1438331,
+        1441663, 1444995, 1448327, 1471651, 1474983, 1478315, 1481647,
+        1504971, 1508303, 1511635, 1514967, 1538291, 1541623, 1544955,
+        // reads queued behind the writes
+        1305051, 1328375, 1308383, 1333373, 1311715, 1338371,
+        // staggered mixed traffic
+        2566813, 2605131, 2615127, 2656813, 2695131, 2705127, 2746813,
+        2785131, 2823449, 2861767, 2900085, 2910081, 2948399, 2986717,
+        2996713, 3035031, 3073349, 3083345, 3121663, 3159981,
+    };
+    EXPECT_EQ(done, pinned);
+}

@@ -54,36 +54,6 @@ TEST(Average, ResetClears)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Quantile, ExactPercentilesOnSmallSet)
-{
-    Quantile q;
-    for (int i = 1; i <= 100; ++i)
-        q.sample(double(i));
-    EXPECT_EQ(q.count(), 100u);
-    EXPECT_DOUBLE_EQ(q.percentile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(q.percentile(1.0), 100.0);
-    EXPECT_NEAR(q.percentile(0.5), 50.5, 0.01);
-    EXPECT_NEAR(q.percentile(0.99), 99.01, 0.1);
-    EXPECT_DOUBLE_EQ(q.mean(), 50.5);
-}
-
-TEST(Quantile, EmptyIsZero)
-{
-    Quantile q;
-    EXPECT_DOUBLE_EQ(q.percentile(0.5), 0.0);
-}
-
-TEST(Quantile, ReservoirBeyondCapKeepsCount)
-{
-    Quantile q(128);
-    for (int i = 0; i < 10000; ++i)
-        q.sample(double(i % 100));
-    EXPECT_EQ(q.count(), 10000u);
-    // The subsample still spans the distribution.
-    EXPECT_LT(q.percentile(0.1), 40.0);
-    EXPECT_GT(q.percentile(0.9), 60.0);
-}
-
 TEST(StatGroup, PrintsAllRows)
 {
     StatGroup g("test.group");

@@ -120,11 +120,8 @@ struct RawFlowFixture
 
 TEST(FaultInjector, DeterministicForSeed)
 {
-    FaultConfig fc;
-    fc.dropProb = 0.1;
-    fc.corruptProb = 0.05;
-    fc.seed = 42;
-    FaultInjector a(fc), b(fc);
+    FaultDomain da("link", 42), db("link", 42);
+    FaultInjector a(da, 0.1, 0.05), b(db, 0.1, 0.05);
     for (int i = 0; i < 2000; ++i) {
         PacketPtr p = makePacket(64);
         EXPECT_EQ(int(a.judge(p)), int(b.judge(p)));
@@ -137,10 +134,8 @@ TEST(FaultInjector, DeterministicForSeed)
 
 TEST(FaultInjector, RatesMatchConfiguredProbabilities)
 {
-    FaultConfig fc;
-    fc.dropProb = 0.02;
-    fc.seed = 7;
-    FaultInjector inj(fc);
+    FaultDomain d("link", 7);
+    FaultInjector inj(d, 0.02, 0.0);
     const int n = 50000;
     for (int i = 0; i < n; ++i)
         inj.judge(makePacket(64));
@@ -164,11 +159,8 @@ TEST(FaultInjector, LinkDropAndCorruptStats)
     } a, b;
     link.connect(&a, &b);
 
-    FaultConfig fc;
-    fc.dropProb = 0.2;
-    fc.corruptProb = 0.2;
-    fc.seed = 3;
-    FaultInjector inj(fc);
+    FaultDomain d("link", 3);
+    FaultInjector inj(d, 0.2, 0.2);
     link.setFaultHook(&inj);
 
     const int n = 1000;
@@ -323,10 +315,11 @@ struct NodePairFixture
     EventQueue eq;
     std::unique_ptr<Node> tx, rx;
     std::unique_ptr<EthLink> link;
+    FaultDomain wire{"link", 99};
     FaultInjector inj;
 
     explicit NodePairFixture(double drop_prob)
-        : inj(FaultConfig{drop_prob, 0.0, 99})
+        : inj(wire, drop_prob, 0.0)
     {
         tx = std::make_unique<Node>(eq, "tx", sys, 0);
         rx = std::make_unique<Node>(eq, "rx", sys, 1);
@@ -439,7 +432,8 @@ runSmallIncast(std::uint64_t seed)
     rxNode.connectTo(down);
     sw.addRoute(0, &down);
 
-    FaultInjector inj(FaultConfig{0.005, 0.0, seed});
+    FaultDomain wire("link", seed);
+    FaultInjector inj(wire, 0.005, 0.0);
     down.setFaultHook(&inj);
 
     TransportHost rxHost(eq, "rxhost", rxNode);
