@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "harness/SweepRunner.hh"
 #include "net/Link.hh"
 #include "workload/IperfFlow.hh"
 #include "workload/LatencyHarness.hh"
@@ -17,8 +18,9 @@
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
 
     std::printf("=== Ablation: DDIO on/off (dNIC) ===\n\n");

@@ -14,14 +14,16 @@
 
 #include <cstdio>
 
+#include "harness/SweepRunner.hh"
 #include "mem/RowClone.hh"
 #include "workload/LatencyHarness.hh"
 
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     SystemConfig cfg;
 

@@ -10,14 +10,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "net/Link.hh"
 #include "workload/IperfFlow.hh"
 
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     const Tick sim_time = usToTicks(400);
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "harness/LatencyHistogram.hh"
+#include "harness/SweepRunner.hh"
 #include "net/Switch.hh"
 #include "transport/FaultInjector.hh"
 #include "transport/TransportHost.hh"
@@ -176,8 +177,9 @@ runIncast(int fanin, double loss_rate, std::uint64_t seed)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     const std::vector<int> fanins = {2, 4, 8};
     const std::vector<double> losses = {0.0, 0.001, 0.01};

@@ -11,14 +11,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "sim/SystemConfig.hh"
 #include "workload/LatencyHarness.hh"
 
 using namespace netdimm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     SystemConfig base;
     const std::vector<std::uint32_t> sizes = {10,   60,   200, 500,

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/SweepRunner.hh"
 #include "net/Switch.hh"
 #include "workload/MemLatencyProbe.hh"
 #include "workload/NfHarness.hh"
@@ -71,8 +72,9 @@ probeLatencyNs(ClusterType cluster, NicKind kind, NfKind nf,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     const int npackets = 2500;
     const std::vector<ClusterType> clusters = {ClusterType::Database,

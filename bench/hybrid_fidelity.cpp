@@ -35,22 +35,21 @@
  * `--baseline FILE` compares the event reduction against committed
  * bench/BENCH_simcore.json keys within `--tolerance`. `--fidelity
  * {packet,hybrid,fluid}` (shared sweep CLI) restricts the campaign
- * to one domain and prints its table without cross-mode gates.
+ * to one domain and prints its table without cross-mode gates; with
+ * `--trace` that run also writes the bottleneck backlog to stderr.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <sys/resource.h>
 #include <vector>
 
 #include "flow/FidelityManager.hh"
+#include "harness/BenchGate.hh"
 #include "harness/LatencyHistogram.hh"
-#include "harness/SweepRunner.hh"
 #include "net/Switch.hh"
 #include "sim/Logging.hh"
 
@@ -58,14 +57,6 @@ using namespace netdimm;
 
 namespace
 {
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 /** Flow id of the raw latency probes (never a bulk flow id). */
 constexpr std::uint64_t kProbeFlow = ~std::uint64_t(0);
@@ -536,58 +527,20 @@ runHandoffDrill(bool short_mode)
     return out;
 }
 
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const char *outPath = "BENCH_hybrid.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-    bool fidelityGiven = false;
-    bool traceFlag = false;
-
-    std::vector<std::string> args;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--trace") == 0) {
-            traceFlag = true;
-        } else {
-            if (std::strcmp(argv[a], "--fidelity") == 0)
-                fidelityGiven = true;
-            args.push_back(argv[a]);
-        }
-    }
-    SweepCli cli;
-    std::string error;
-    if (!tryParseSweepCli(args, {}, cli, error)) {
-        std::fprintf(stderr,
-                     "%s: %s\n"
-                     "usage: %s [--short] "
-                     "[--fidelity packet|hybrid|fluid] [--out FILE] "
-                     "[--baseline FILE] [--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0]);
-        return 2;
-    }
+    const GateCli gate =
+        parseGateCli(argc, argv, "BENCH_hybrid.json", {"--trace"});
+    const SweepCli &cli = gate.sweep;
+    // --trace is the one allowlisted flag.
+    const bool traceFlag = !cli.rest.empty();
+    const bool fidelityGiven =
+        std::find(argv + 1, argv + argc, std::string("--fidelity")) !=
+        argv + argc;
 
     // Short mode trims the load grid, not the horizon: the witness
     // p99 integrates over ~5 congestion-oscillation cycles, and a
@@ -782,9 +735,9 @@ main(int argc, char **argv)
     }
 
     long rssKb = peakRssKb();
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(gate.outPath.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", gate.outPath.c_str());
         return 2;
     }
     std::fprintf(out,
@@ -819,42 +772,18 @@ main(int argc, char **argv)
                  (unsigned long long)drill.promotions,
                  (unsigned long long)drill.demotions, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", gate.outPath.c_str());
 
-    if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
+    if (!gate.baselinePath.empty()) {
+        // A failed check is recorded like the other gates; an
+        // unreadable baseline ends the run.
+        int rc = checkBaseline(gate.baselinePath, gate.tolerance,
+                               {{"hybrid_event_reduction",
+                                 minReduction}});
+        if (rc == 2)
             return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        double baseRed = jsonNumber(text, "hybrid_event_reduction");
-        if (std::isnan(baseRed) || baseRed <= 0) {
-            std::fprintf(stderr,
-                         "baseline missing key "
-                         "hybrid_event_reduction\n");
-            return 2;
-        }
-        double ratio = minReduction / baseRed;
-        std::printf("check   : hybrid_event_reduction %.3g vs "
-                    "baseline %.3g (%.2fx, floor %.2fx)\n",
-                    minReduction, baseRed, ratio, 1.0 - tolerance);
-        if (ratio < 1.0 - tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: hybrid event reduction regressed "
-                         "beyond %.0f%% tolerance\n",
-                         tolerance * 100);
+        if (rc != 0)
             ok = false;
-        } else {
-            std::printf("baseline check passed\n");
-        }
     }
     return ok ? 0 : 1;
 }

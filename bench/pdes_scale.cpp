@@ -36,18 +36,14 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
+#include "harness/BenchGate.hh"
 #include "harness/LatencyHistogram.hh"
-#include "harness/SweepRunner.hh"
 #include "net/Topology.hh"
 #include "sim/Logging.hh"
 #include "workload/TraceGen.hh"
@@ -56,22 +52,6 @@ using namespace netdimm;
 
 namespace
 {
-
-double
-wallSeconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 /** Trace shape shared by every run: the pod fabric plus the
  *  node-striped synthetic trace (workload/TraceGen.hh). */
@@ -260,59 +240,17 @@ canonicalTable(const TraceParams &tp, const RunResult &r)
     return s;
 }
 
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const char *outPath = "BENCH_pdes.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-
-    // Valued flags are peeled off first; the remainder goes through
-    // the shared sweep-CLI parser (which owns --short / --shards and
-    // the --det allowlist entry).
-    std::vector<std::string> args;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            tolerance = std::atof(argv[++a]);
-        } else {
-            args.push_back(argv[a]);
-        }
-    }
-    SweepCli cli;
-    std::string error;
-    if (!tryParseSweepCli(args, {"--det"}, cli, error)) {
-        std::fprintf(stderr,
-                     "%s: %s\n"
-                     "usage: %s [--short] [--det] [--shards N] "
-                     "[--out FILE] [--baseline FILE] "
-                     "[--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0]);
-        return 2;
-    }
-    bool detOnly = false;
-    for (const std::string &f : cli.rest)
-        if (f == "--det")
-            detOnly = true;
+    const GateCli gate =
+        parseGateCli(argc, argv, "BENCH_pdes.json", {"--det"});
+    const SweepCli &cli = gate.sweep;
+    // --det is the one allowlisted flag.
+    const bool detOnly = !cli.rest.empty();
 
     TraceParams tp;
     tp.spec.pods = 4;
@@ -429,9 +367,9 @@ main(int argc, char **argv)
     long rssKb = peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(gate.outPath.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", gate.outPath.c_str());
         return 2;
     }
     std::fprintf(out,
@@ -465,42 +403,13 @@ main(int argc, char **argv)
                  "}\n",
                  shardsN, speedup, shardsN, efficiency, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", gate.outPath.c_str());
 
-    if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
-            return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        double base =
-            jsonNumber(text, "pdes_events_per_sec_shards1");
-        if (std::isnan(base) || base <= 0) {
-            std::fprintf(stderr,
-                         "baseline missing key "
-                         "pdes_events_per_sec_shards1\n");
-            return 2;
-        }
-        double ratio = evps1 / base;
-        std::printf("check   : pdes_events_per_sec_shards1 %.3g vs "
-                    "baseline %.3g (%.2fx, floor %.2fx)\n",
-                    evps1, base, ratio, 1.0 - tolerance);
-        if (ratio < 1.0 - tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: 1-shard events/sec regression beyond "
-                         "%.0f%% tolerance\n",
-                         tolerance * 100);
-            return 1;
-        }
-        std::printf("baseline check passed\n");
+    if (!gate.baselinePath.empty()) {
+        if (int rc = checkBaseline(gate.baselinePath, gate.tolerance,
+                                   {{"pdes_events_per_sec_shards1",
+                                     evps1}}))
+            return rc;
     }
 
     // Hard floor, independent of any baseline file: with 4 shards on

@@ -38,18 +38,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <new>
-#include <string>
-#include <sys/resource.h>
 #include <vector>
 
-#include "harness/SweepRunner.hh"
+#include "harness/BenchGate.hh"
 #include "net/Link.hh"
 #include "net/Switch.hh"
 #include "workload/TraceGen.hh"
@@ -120,22 +116,6 @@ using namespace netdimm;
 
 namespace
 {
-
-double
-wallSeconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-long
-peakRssKb()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_maxrss;
-}
 
 struct PhaseResult
 {
@@ -427,64 +407,15 @@ runCampaign(unsigned jobs, int npackets)
     return r;
 }
 
-// -- baseline comparison ----------------------------------------------
-
-/** Pull `"key": <number>` out of a JSON blob; nan when absent. */
-double
-jsonNumber(const std::string &text, const char *key)
-{
-    std::string needle = std::string("\"") + key + "\":";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const char *outPath = "BENCH_simcore.json";
-    const char *baselinePath = nullptr;
-    double tolerance = 0.20;
-
-    // Valued flags are peeled off first; the remainder goes through
-    // the shared sweep-CLI parser (which owns --short and --jobs).
-    std::vector<std::string> args;
-    std::string error;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc) {
-            outPath = argv[++a];
-        } else if (std::strcmp(argv[a], "--baseline") == 0 &&
-                   a + 1 < argc) {
-            baselinePath = argv[++a];
-        } else if (std::strcmp(argv[a], "--tolerance") == 0 &&
-                   a + 1 < argc) {
-            const char *v = argv[++a];
-            char *end = nullptr;
-            tolerance = std::strtod(v, &end);
-            if (end == v || *end != '\0' || !std::isfinite(tolerance) ||
-                tolerance < 0.0)
-                error = std::string("--tolerance must be a "
-                                    "non-negative number (got '") +
-                        v + "')";
-        } else {
-            args.push_back(argv[a]);
-        }
-    }
-    SweepCli cli;
-    if (!error.empty() || !tryParseSweepCli(args, {}, cli, error)) {
-        std::fprintf(stderr,
-                     "%s: %s\n"
-                     "usage: %s [--short] [--jobs N] [--out FILE] "
-                     "[--baseline FILE] [--tolerance F]\n",
-                     argv[0], error.c_str(), argv[0]);
-        return 2;
-    }
-    const bool shortMode = cli.shortMode;
-    const unsigned jobs = cli.jobs;
+    const GateCli cli = parseGateCli(argc, argv, "BENCH_simcore.json");
+    const bool shortMode = cli.sweep.shortMode;
+    const unsigned jobs = cli.sweep.jobs;
 
     const int npackets = shortMode ? 6000 : 40000;
     const std::uint64_t churnFlows = 64;
@@ -545,9 +476,9 @@ main(int argc, char **argv)
     long rssKb = peakRssKb();
     std::printf("peak RSS: %ld KB\n", rssKb);
 
-    FILE *out = std::fopen(outPath, "w");
+    FILE *out = std::fopen(cli.outPath.c_str(), "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath);
+        std::fprintf(stderr, "cannot write %s\n", cli.outPath.c_str());
         return 2;
     }
     std::fprintf(
@@ -586,55 +517,15 @@ main(int argc, char **argv)
         camp.speedup(), (unsigned long long)camp.cells, camp.jobs,
         camp.wallSeq, camp.wallPar, camp.witnessSeq, rssKb);
     std::fclose(out);
-    std::printf("wrote %s\n", outPath);
+    std::printf("wrote %s\n", cli.outPath.c_str());
 
-    if (baselinePath) {
-        FILE *bf = std::fopen(baselinePath, "r");
-        if (!bf) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         baselinePath);
-            return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), bf)) > 0)
-            text.append(buf, got);
-        std::fclose(bf);
-
-        struct Check
-        {
-            const char *key;
-            double current;
-        } checks[] = {
-            {"replay_events_per_sec", replay.eventsPerSec()},
-            {"churn_events_per_sec", churn.eventsPerSec()},
-            {"campaign_cells_per_sec", camp.cellsPerSec()},
-        };
-        bool ok = true;
-        for (const Check &c : checks) {
-            double base = jsonNumber(text, c.key);
-            if (std::isnan(base) || base <= 0) {
-                std::fprintf(stderr,
-                             "baseline missing key %s\n", c.key);
-                return 2;
-            }
-            double ratio = c.current / base;
-            std::printf("check   : %s %.3g vs baseline %.3g "
-                        "(%.2fx, floor %.2fx)\n",
-                        c.key, c.current, base, ratio,
-                        1.0 - tolerance);
-            if (ratio < 1.0 - tolerance)
-                ok = false;
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "FAIL: events/sec regression beyond %.0f%% "
-                         "tolerance\n",
-                         tolerance * 100);
-            return 1;
-        }
-        std::printf("baseline check passed\n");
+    if (!cli.baselinePath.empty()) {
+        if (int rc = checkBaseline(
+                cli.baselinePath, cli.tolerance,
+                {{"replay_events_per_sec", replay.eventsPerSec()},
+                 {"churn_events_per_sec", churn.eventsPerSec()},
+                 {"campaign_cells_per_sec", camp.cellsPerSec()}}))
+            return rc;
     }
 
     // Hard floor, independent of any baseline file: on a machine with

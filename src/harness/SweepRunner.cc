@@ -263,19 +263,34 @@ parseSweepCli(int argc, char **argv,
     std::vector<std::string> args(argv + 1, argv + argc);
     SweepCli cli;
     std::string error;
-    if (!tryParseSweepCli(args, extra_flags, cli, error)) {
-        std::string usage = "usage: ";
-        usage += argc > 0 ? argv[0] : "bench";
-        usage += " [--short] [--jobs N] [--shards N]"
-                 " [--fidelity packet|hybrid|fluid]";
-        for (const std::string &f : extra_flags)
-            usage += " [" + f + "]";
-        std::fprintf(stderr, "%s: %s\n%s\n",
-                     argc > 0 ? argv[0] : "bench", error.c_str(),
-                     usage.c_str());
-        std::exit(2);
-    }
+    if (!tryParseSweepCli(args, extra_flags, cli, error))
+        exitWithUsage(argc, argv, error, extra_flags);
     return cli;
+}
+
+void
+exitWithUsage(int argc, char **argv, const std::string &error,
+              const std::vector<std::string> &extra_flags)
+{
+    std::string usage = "usage: ";
+    usage += argc > 0 ? argv[0] : "bench";
+    usage += " [--short] [--jobs N] [--shards N]"
+             " [--fidelity packet|hybrid|fluid]";
+    for (const std::string &f : extra_flags)
+        usage += " [" + f + "]";
+    std::fprintf(stderr, "%s: %s\n%s\n", argc > 0 ? argv[0] : "bench",
+                 error.c_str(), usage.c_str());
+    std::exit(2);
+}
+
+void
+requireNoArgs(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s\n",
+                 argv[0], argv[1], argv[0]);
+    std::exit(2);
 }
 
 } // namespace netdimm

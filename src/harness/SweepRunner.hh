@@ -228,6 +228,18 @@ bool tryParseSweepCli(const std::vector<std::string> &args,
 SweepCli parseSweepCli(int argc, char **argv,
                        const std::vector<std::string> &extra_flags = {});
 
+/** parseSweepCli's error exit: print `<argv0>: <error>` and the
+ *  usage line listing @p extra_flags to stderr, then exit 2. */
+[[noreturn]] void exitWithUsage(int argc, char **argv,
+                                const std::string &error,
+                                const std::vector<std::string> &extra_flags);
+
+/**
+ * For benches that take no flags: on any argument, print it and a
+ * usage line to stderr and exit with status 2.
+ */
+void requireNoArgs(int argc, char **argv);
+
 } // namespace netdimm
 
 #endif // NETDIMM_HARNESS_SWEEPRUNNER_HH

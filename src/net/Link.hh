@@ -99,7 +99,7 @@ class LinkFaultHook
  * packet-level frame: the link delays the frame by the backlog's
  * serialization time, the switch adds the backlog to the queue depth
  * its ECN/tail-drop thresholds see. With no source installed (the
- * default) both run their exact legacy code paths.
+ * default) frames wait and are counted only behind packet-level ones.
  */
 class FluidBackground
 {
@@ -162,10 +162,10 @@ class EthLink : public SimObject
 
     /**
      * Install a fluid background source on the A->B direction (the
-     * direction the fluid model covers); nullptr (default) restores
-     * the exact legacy timing path. The source is not owned. Frames
-     * sent A->B wait behind the fluid backlog's serialization time
-     * and report their own wire bytes back to the source.
+     * direction the fluid model covers); nullptr (default) removes it
+     * (no fluid wait). The source is not owned. Frames sent A->B
+     * wait behind the fluid backlog's serialization time and report
+     * their own wire bytes back to the source.
      */
     void setBackgroundSource(FluidBackground *bg) { _bg = bg; }
 
