@@ -30,9 +30,9 @@ main(int argc, char **argv)
     std::printf("=== Ablation: RowClone modes vs CPU copy ===\n\n");
     {
         EventQueue eq;
-        DramGeometry geo = NetDimmDevice::localGeometry(cfg);
-        MemoryController nmc(eq, "nmc", cfg.dram, geo, cfg.memCtrl);
-        RowCloneEngine rc(eq, "rc", nmc, cfg.netdimm.rowClone);
+        DramGeometry geo = NetDimmDevice::localGeometry();
+        MemoryController nmc(eq, "nmc", geo, cfg.memCtrl);
+        RowCloneEngine rc(eq, "rc", nmc);
         const DimmDecoder &dec = nmc.decoder();
 
         Addr src = dec.pageAddress(0, 2, 5, 0);

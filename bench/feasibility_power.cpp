@@ -54,8 +54,8 @@ main(int argc, char **argv)
         acct.sramLines(rx.llc().hits() + rx.llc().ddioInserts());
         acct.wireBytes(link.bytesCarried());
         acct.cpuCycles(rx.driver().rxPackets() *
-                       (cfg.cpu.rxDriverCycles +
-                        cfg.cpu.skbAllocCycles));
+                       (CpuConfig::rxDriverCycles +
+                        CpuConfig::skbAllocCycles));
 
         // Device-side energy: what the NIC silicon itself dissipates
         // (the part that must fit the DIMM buffer device for NetDIMM).
@@ -63,7 +63,7 @@ main(int argc, char **argv)
         if (rx.pcie()) {
             acct.pcieBytes(rx.pcie()->payloadBytes() +
                            rx.pcie()->tlpsSent() *
-                               cfg.pcie.tlpOverheadBytes);
+                               PcieConfig::tlpOverheadBytes);
             device.pcieBytes(rx.pcie()->payloadBytes());
         }
         if (rx.netdimm()) {

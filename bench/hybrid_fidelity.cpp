@@ -534,9 +534,10 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const GateCli gate =
-        parseGateCli(argc, argv, "BENCH_hybrid.json", {"--trace"});
+        parseGateCli(argc, argv, "BENCH_hybrid.json",
+                     {"--trace", "--fidelity"});
     const SweepCli &cli = gate.sweep;
-    // --trace is the one allowlisted flag.
+    // --trace is the one valueless allowlisted flag.
     const bool traceFlag = !cli.rest.empty();
     const bool fidelityGiven =
         std::find(argv + 1, argv + argc, std::string("--fidelity")) !=

@@ -144,7 +144,7 @@ BM_MemoryControllerStream(benchmark::State &state)
     geo.channels = 1;
     for (auto _ : state) {
         EventQueue eq;
-        MemoryController mc(eq, "mc", cfg.dram, geo, cfg.memCtrl);
+        MemoryController mc(eq, "mc", geo, cfg.memCtrl);
         for (int i = 0; i < 256; ++i) {
             auto req = makeMemRequest(Addr(i) * 4096, 4096, false,
                                       MemSource::HostCpu, nullptr);

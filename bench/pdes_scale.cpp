@@ -247,9 +247,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const GateCli gate =
-        parseGateCli(argc, argv, "BENCH_pdes.json", {"--det"});
+        parseGateCli(argc, argv, "BENCH_pdes.json", {"--det", "--shards"});
     const SweepCli &cli = gate.sweep;
-    // --det is the one allowlisted flag.
+    // --det is the one valueless allowlisted flag.
     const bool detOnly = !cli.rest.empty();
 
     TraceParams tp;

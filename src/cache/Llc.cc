@@ -6,28 +6,24 @@ namespace netdimm
 {
 
 Llc::Llc(EventQueue &eq, std::string name, const CacheConfig &cfg,
-         const CpuConfig &cpu, MemTarget &downstream)
-    : SimObject(eq, std::move(name)), _cfg(cfg), _downstream(downstream),
-      _hitLatency(cpu.cycles(cfg.hitCycles))
+         MemTarget &downstream)
+    : SimObject(eq, std::move(name)), _cfg(cfg), _downstream(downstream)
 {
-    ND_ASSERT(cfg.assoc > 0 && cfg.lineBytes > 0);
-    _sets = std::uint32_t(cfg.sizeBytes / cfg.lineBytes / cfg.assoc);
-    ND_ASSERT(_sets > 0);
     _ddioWays = std::max(
         1u, std::uint32_t(double(cfg.assoc) * cfg.ddioFraction + 0.5));
-    _lines.resize(std::size_t(_sets) * cfg.assoc);
+    _lines.resize(std::size_t(numSets) * cfg.assoc);
 }
 
 std::uint32_t
 Llc::setIndex(Addr addr) const
 {
-    return std::uint32_t((addr / _cfg.lineBytes) % _sets);
+    return std::uint32_t((addr / cachelineBytes) % numSets);
 }
 
 Llc::Line *
 Llc::findLine(Addr addr)
 {
-    Addr tag = addr / _cfg.lineBytes;
+    Addr tag = addr / cachelineBytes;
     std::uint32_t set = setIndex(addr);
     for (std::uint32_t w = 0; w < _cfg.assoc; ++w) {
         Line &l = _lines[std::size_t(set) * _cfg.assoc + w];
@@ -64,8 +60,8 @@ Llc::victim(std::uint32_t set, bool ddio_only, MemSource src)
     ND_ASSERT(best);
     if (best->dirty) {
         _writebacks.inc();
-        auto wb = makeMemRequest(best->tag * _cfg.lineBytes,
-                                 _cfg.lineBytes, true, src);
+        auto wb = makeMemRequest(best->tag * cachelineBytes,
+                                 cachelineBytes, true, src);
         _downstream.access(wb);
     }
     if (best->ddio) {
@@ -97,7 +93,7 @@ Llc::access(const MemRequestPtr &req)
     // the fill request directly. Event ordering matches the generic
     // path exactly: one schedule on a hit, none on a miss.
     if (nlines == 1) {
-        Addr a = (req->addr / _cfg.lineBytes) * _cfg.lineBytes;
+        Addr a = (req->addr / cachelineBytes) * cachelineBytes;
         Line *l = findLine(a);
         if (l) {
             _hits.inc();
@@ -105,7 +101,7 @@ Llc::access(const MemRequestPtr &req)
             l->ddio = false;
             if (req->write)
                 l->dirty = true;
-            Tick done = curTick() + _hitLatency;
+            Tick done = curTick() + hitLatency();
             eventq().schedule(done,
                               [cb = std::move(req->onDone), done] {
                                   if (cb)
@@ -121,17 +117,17 @@ Llc::access(const MemRequestPtr &req)
         auto cbp = std::allocate_shared<MemRequest::Completion>(
             PoolAlloc<MemRequest::Completion>{}, std::move(req->onDone));
         auto fill = makeMemRequest(
-            a, _cfg.lineBytes, false, src,
+            a, cachelineBytes, false, src,
             [this, a, is_write, src, cbp](Tick t) {
                 std::uint32_t set = setIndex(a);
                 Line &v = victim(set, false, src);
                 v.valid = true;
-                v.tag = a / _cfg.lineBytes;
+                v.tag = a / cachelineBytes;
                 v.dirty = is_write;
                 v.ddio = false;
                 touch(v);
                 if (*cbp)
-                    (*cbp)(t + _hitLatency);
+                    (*cbp)(t + hitLatency());
             });
         _downstream.access(fill);
         return;
@@ -158,7 +154,7 @@ Llc::access(const MemRequestPtr &req)
             l->ddio = false;
             if (req->write)
                 l->dirty = true;
-            Tick done = curTick() + _hitLatency;
+            Tick done = curTick() + hitLatency();
             eventq().schedule(done, [lineDone, done] { lineDone(done); });
             return;
         }
@@ -167,16 +163,16 @@ Llc::access(const MemRequestPtr &req)
         bool is_write = req->write;
         MemSource src = req->source;
         auto fill = makeMemRequest(
-            a, _cfg.lineBytes, false, src,
+            a, cachelineBytes, false, src,
             [this, a, is_write, src, lineDone](Tick t) {
                 std::uint32_t set = setIndex(a);
                 Line &v = victim(set, false, src);
                 v.valid = true;
-                v.tag = a / _cfg.lineBytes;
+                v.tag = a / cachelineBytes;
                 v.dirty = is_write;
                 v.ddio = false;
                 touch(v);
-                lineDone(t + _hitLatency);
+                lineDone(t + hitLatency());
             });
         _downstream.access(fill);
     });
@@ -200,7 +196,7 @@ Llc::dmaWrite(Addr addr, std::uint32_t size, MemSource src,
             std::uint32_t set = setIndex(a);
             Line &v = victim(set, /*ddio_only=*/true, src);
             v.valid = true;
-            v.tag = a / _cfg.lineBytes;
+            v.tag = a / cachelineBytes;
             l = &v;
         }
         l->dirty = true;
@@ -208,7 +204,7 @@ Llc::dmaWrite(Addr addr, std::uint32_t size, MemSource src,
         touch(*l);
         _ddioInserts.inc();
     });
-    Tick done = curTick() + _hitLatency;
+    Tick done = curTick() + hitLatency();
     if (cb)
         eventq().schedule(done, [cb = std::move(cb), done] { cb(done); });
 }
@@ -239,14 +235,14 @@ Llc::dmaRead(Addr addr, std::uint32_t size, MemSource src,
         }
     });
     if (missing == 0) {
-        Tick done = curTick() + _hitLatency;
+        Tick done = curTick() + hitLatency();
         if (cb) {
             eventq().schedule(done,
                               [cb = std::move(cb), done] { cb(done); });
         }
         return;
     }
-    auto req = makeMemRequest(miss_first, missing * _cfg.lineBytes,
+    auto req = makeMemRequest(miss_first, missing * cachelineBytes,
                               false, src, std::move(cb));
     _downstream.access(req);
 }
@@ -267,14 +263,14 @@ Llc::flush(Addr addr, std::uint32_t size, MemSource src, Completion cb)
         }
     });
     if (dirty == 0) {
-        Tick done = curTick() + _hitLatency;
+        Tick done = curTick() + hitLatency();
         if (cb) {
             eventq().schedule(done,
                               [cb = std::move(cb), done] { cb(done); });
         }
         return;
     }
-    auto wb = makeMemRequest(first_dirty, dirty * _cfg.lineBytes, true,
+    auto wb = makeMemRequest(first_dirty, dirty * cachelineBytes, true,
                              src, std::move(cb));
     _downstream.access(wb);
 }

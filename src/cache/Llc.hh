@@ -35,7 +35,7 @@ class Llc : public SimObject, public MemTarget
     using Completion = MemRequest::Completion;
 
     Llc(EventQueue &eq, std::string name, const CacheConfig &cfg,
-        const CpuConfig &cpu, MemTarget &downstream);
+        MemTarget &downstream);
 
     /** Core-side demand access (read or write allocate). */
     void access(const MemRequestPtr &req) override;
@@ -63,7 +63,11 @@ class Llc : public SimObject, public MemTarget
     bool probe(Addr addr) const;
 
     /** LLC hit latency in ticks. */
-    Tick hitLatency() const { return _hitLatency; }
+    static constexpr Tick
+    hitLatency()
+    {
+        return CpuConfig::cycles(CacheConfig::hitCycles);
+    }
 
     // -- statistics ----------------------------------------------------
     std::uint64_t hits() const { return _hits.value(); }
@@ -84,10 +88,11 @@ class Llc : public SimObject, public MemTarget
 
     const CacheConfig _cfg;
     MemTarget &_downstream;
-    Tick _hitLatency;
-    std::uint32_t _sets;
+    static constexpr std::uint32_t numSets = std::uint32_t(
+        CacheConfig::sizeBytes / cachelineBytes / CacheConfig::assoc);
+    static_assert(numSets > 0);
     std::uint32_t _ddioWays;
-    std::vector<Line> _lines; ///< _sets * assoc, row-major by set
+    std::vector<Line> _lines; ///< numSets * assoc, row-major by set
     std::uint64_t _useClock = 0;
 
     stats::Scalar _hits, _misses, _ddioInserts, _ddioLeaks, _writebacks;
@@ -107,9 +112,9 @@ class Llc : public SimObject, public MemTarget
     void
     forEachLine(Addr addr, std::uint32_t size, Fn &&fn)
     {
-        Addr first = addr & ~Addr(_cfg.lineBytes - 1);
-        Addr last = (addr + size - 1) & ~Addr(_cfg.lineBytes - 1);
-        for (Addr a = first; a <= last; a += _cfg.lineBytes)
+        Addr first = addr & ~Addr(cachelineBytes - 1);
+        Addr last = (addr + size - 1) & ~Addr(cachelineBytes - 1);
+        for (Addr a = first; a <= last; a += cachelineBytes)
             fn(a);
     }
 };

@@ -63,7 +63,6 @@ class FluidLink : public FluidBackground
     }
 
     const std::string &name() const { return _name; }
-    double capacityGbps() const { return _cfg.gbps; }
     /** Wire bytes one reference frame occupies. */
     std::uint32_t refWireFrameBytes() const { return _refWireFrame; }
     /** Wire bytes per payload byte at the reference frame size. */
@@ -210,7 +209,6 @@ class FluidLink : public FluidBackground
     double deliveredWireBytes() const { return _cumDelivered; }
     double droppedWireBytes() const { return _cumDropped; }
     double backlogWireBytes() const { return _backlog; }
-    double maxBacklogWireBytes() const { return _maxBacklog; }
 
     // -- FluidBackground (packet-level side) -----------------------------
 
@@ -276,7 +274,6 @@ class FluidLink : public FluidBackground
         _winDropped = dropped;
         _cumDelivered += delivered;
         _cumDropped += dropped;
-        _maxBacklog = std::max(_maxBacklog, _backlog);
     }
 
     const std::string _name;
@@ -305,7 +302,6 @@ class FluidLink : public FluidBackground
     double _cumArrived = 0.0;
     double _cumDelivered = 0.0;
     double _cumDropped = 0.0;
-    double _maxBacklog = 0.0;
 };
 
 } // namespace netdimm

@@ -7,7 +7,7 @@ namespace netdimm
 
 FluidSolver::FluidSolver(EventQueue &eq, std::string name, Tick period)
     : SimObject(eq, std::move(name)),
-      _period(period ? period : TransportConfig{}.rateIncreaseInterval)
+      _period(period ? period : TransportConfig::rateIncreaseInterval)
 {
     ND_ASSERT(_period > 0);
 }

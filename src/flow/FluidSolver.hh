@@ -75,12 +75,6 @@ struct FluidFlow
     std::function<void(FluidFlow &)> onComplete;
 
     double rateGbps() const { return cc.rateGbps; }
-    /** Payload bytes not yet offered (or returned by drops). */
-    double
-    unsentBytes() const
-    {
-        return totalBytes ? double(totalBytes) - offeredBytes : 0.0;
-    }
 };
 
 class FluidSolver : public SimObject

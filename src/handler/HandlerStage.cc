@@ -10,8 +10,6 @@ HandlerStage::HandlerStage(EventQueue &eq, std::string name,
                            MemTarget &local_mem,
                            std::uint64_t local_bytes)
     : SimObject(eq, std::move(name)), _cfg(cfg.handler),
-      _pipeLatency(cfg.nicModel.pipelineLatency),
-      _ctrlLatency(cfg.netdimm.controllerLatency),
       _localBytes(local_bytes)
 {
     ND_ASSERT(_cfg.cores > 0 && _cfg.runQueueDepth > 0);
@@ -180,7 +178,8 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
     // nNIC pipeline hands the frame over, nController routes it to
     // the core, the core runs the dispatch trampoline; then the
     // kernel body (cycles + memory accesses) runs to completion.
-    Tick lead = _pipeLatency + _ctrlLatency +
+    Tick lead = NicModelConfig::pipelineLatency +
+                NetDimmConfig::controllerLatency +
                 _cfg.cycles(_cfg.dispatchCycles);
     if (crash) {
         // The kernel traps partway through: no memory traffic, the
@@ -251,7 +250,8 @@ HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
         resp->born = curTick();
         // The reply leaves through the nNIC TX pipeline; no host
         // descriptor, no driver, no DMA.
-        eventq().scheduleRel(_pipeLatency, [this, resp] {
+        const Tick pipe = NicModelConfig::pipelineLatency;
+        eventq().scheduleRel(pipe, [this, resp] {
             ND_ASSERT(_tx);
             _tx(resp);
         });

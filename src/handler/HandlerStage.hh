@@ -194,8 +194,6 @@ class HandlerStage : public SimObject
 
     /** Owned copies: the stage outlives no config references. */
     const HandlerConfig _cfg;
-    const Tick _pipeLatency;
-    const Tick _ctrlLatency;
     const std::uint64_t _localBytes;
 
     MatchTable _table;

@@ -1,5 +1,6 @@
 #include "harness/SweepRunner.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -177,6 +178,10 @@ tryParseSweepCli(const std::vector<std::string> &args,
                  const std::vector<std::string> &extra_flags,
                  SweepCli &out, std::string &error)
 {
+    auto allowed = [&](const std::string &flag) {
+        return std::find(extra_flags.begin(), extra_flags.end(), flag) !=
+               extra_flags.end();
+    };
     SweepCli cli;
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
@@ -200,7 +205,7 @@ tryParseSweepCli(const std::vector<std::string> &args,
             cli.jobs = unsigned(n);
             continue;
         }
-        if (arg == "--shards") {
+        if (arg == "--shards" && allowed(arg)) {
             if (a + 1 >= args.size()) {
                 error = "--shards requires a value";
                 return false;
@@ -216,7 +221,7 @@ tryParseSweepCli(const std::vector<std::string> &args,
             cli.shards = unsigned(n);
             continue;
         }
-        if (arg == "--fidelity") {
+        if (arg == "--fidelity" && allowed(arg)) {
             if (a + 1 >= args.size()) {
                 error = "--fidelity requires a value";
                 return false;
@@ -235,13 +240,7 @@ tryParseSweepCli(const std::vector<std::string> &args,
             }
             continue;
         }
-        bool allowed = false;
-        for (const std::string &f : extra_flags)
-            if (arg == f) {
-                allowed = true;
-                break;
-            }
-        if (!allowed) {
+        if (!allowed(arg)) {
             error = "unknown argument '" + arg + "'";
             return false;
         }
@@ -274,10 +273,13 @@ exitWithUsage(int argc, char **argv, const std::string &error,
 {
     std::string usage = "usage: ";
     usage += argc > 0 ? argv[0] : "bench";
-    usage += " [--short] [--jobs N] [--shards N]"
-             " [--fidelity packet|hybrid|fluid]";
+    usage += " [--short] [--jobs N]";
     for (const std::string &f : extra_flags)
-        usage += " [" + f + "]";
+        usage += " [" +
+                 (f == "--shards"     ? f + " N"
+                  : f == "--fidelity" ? f + " packet|hybrid|fluid"
+                                      : f) +
+                 "]";
     std::fprintf(stderr, "%s: %s\n%s\n", argc > 0 ? argv[0] : "bench",
                  error.c_str(), usage.c_str());
     std::exit(2);

@@ -172,14 +172,6 @@ class SweepRunner
 };
 
 /**
- * Shared command-line surface of the sweep benches: `--jobs N`
- * (default: hardware concurrency) plus the conventional `--short`.
- * Bench-specific flags must be declared in the allowlist passed to
- * the parser; they land in `rest` for the caller. Anything else is a
- * hard parse error — typos fail loudly instead of silently running
- * the wrong experiment.
- */
-/**
  * Simulation fidelity selected on the command line (`--fidelity`).
  * Packet runs everything packet-level (the default: all goldens are
  * produced in this mode and stay byte-identical); Hybrid runs bulk
@@ -196,14 +188,26 @@ enum class FidelityMode : std::uint8_t
 /** Canonical CLI spelling of @p mode ("packet", "hybrid", "fluid"). */
 const char *fidelityModeName(FidelityMode mode);
 
+/**
+ * Shared command-line surface of the sweep benches: `--jobs N`
+ * (default: hardware concurrency) plus the conventional `--short`.
+ * Bench-specific flags must be declared in the allowlist passed to
+ * the parser. `--shards N` and `--fidelity MODE` are parsed into
+ * their fields when listed; any other listed flag is valueless and
+ * lands in `rest` for the caller. Anything else, an unlisted
+ * `--shards` or `--fidelity` included, is a hard parse error — typos
+ * and flags a bench would ignore fail loudly instead of silently
+ * running the wrong experiment.
+ */
 struct SweepCli
 {
     unsigned jobs = 0; ///< resolved: >= 1
-    /** `--shards N` for the PDES benches; 0 = flag absent (the bench
-     *  picks its own sweep). Same reject semantics as `--jobs`. */
+    /** `--shards N`, for a bench that lists it; 0 = flag absent (the
+     *  bench picks its own sweep). Same reject semantics as `--jobs`. */
     unsigned shards = 0;
-    /** `--fidelity {packet,hybrid,fluid}`; packet when absent. Same
-     *  reject semantics as `--jobs` (missing/unknown value = error). */
+    /** `--fidelity {packet,hybrid,fluid}`, for a bench that lists it;
+     *  packet when absent. Same reject semantics as `--jobs`
+     *  (missing/unknown value = error). */
     FidelityMode fidelity = FidelityMode::Packet;
     bool shortMode = false;
     /** Allowlisted caller-handled flags, in argv order. */
@@ -212,10 +216,10 @@ struct SweepCli
 
 /**
  * Testable parser core. @p args is argv[1..argc); @p extra_flags is
- * the allowlist of valueless caller-handled flags. On success fills
- * @p out and returns true; on bad input (unknown argument, missing /
- * non-numeric / < 1 `--jobs` value) returns false with a one-line
- * diagnostic in @p error.
+ * the allowlist of the bench's own flags (see SweepCli). On success
+ * fills @p out and returns true; on bad input (unknown or unlisted
+ * argument, missing / non-numeric / < 1 `--jobs` value) returns false
+ * with a one-line diagnostic in @p error.
  */
 bool tryParseSweepCli(const std::vector<std::string> &args,
                       const std::vector<std::string> &extra_flags,

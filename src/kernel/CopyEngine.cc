@@ -72,7 +72,7 @@ CopyEngine::copy(Addr dst, Addr src, std::uint32_t bytes, Completion cb)
     st->dst = dst;
     st->src = src;
     st->lines = lines;
-    st->perLineCpu = _cfg.cpu.cycles(_cfg.sw.perLineCopyCycles);
+    st->perLineCpu = CpuConfig::cycles(_cfg.sw.perLineCopyCycles);
     st->cb = std::move(cb);
 
     Tick setup = _cfg.sw.copySetup;

@@ -34,7 +34,7 @@ class Driver : public SimObject
     Driver(EventQueue &eq, std::string name, const SystemConfig &cfg)
         : SimObject(eq, std::move(name)), _cfg(cfg),
           _rng(cfg.seed ^ 0xD1B54A32D192ED03ull),
-          _rxCtx(cfg.cpu.cores)
+          _rxCtx(CpuConfig::cores)
     {
         _probeId = eq.registerHealthProbe(this->name(), [this] {
             return outstandingWork();
@@ -68,8 +68,6 @@ class Driver : public SimObject
     {
         return _recoveryUs;
     }
-    /** Kicked skbs not yet completed by the device. */
-    std::size_t inflightTx() const { return _inflightTx.size(); }
 
     // -- whole-node lifecycle (DESIGN.md §15) ---------------------------
     /**
@@ -154,7 +152,7 @@ class Driver : public SimObject
     Tick
     pollPhase()
     {
-        Tick iter = _cfg.cpu.cycles(_cfg.cpu.pollIterationCycles);
+        Tick iter = CpuConfig::cycles(CpuConfig::pollIterationCycles);
         return iter ? _rng.uniformInt(0, iter - 1) : 0;
     }
 
@@ -190,7 +188,7 @@ class Driver : public SimObject
     Tick
     kernelStackDelay() const
     {
-        return _cfg.cpu.cycles(_cfg.sw.kernelStackCycles);
+        return CpuConfig::cycles(_cfg.sw.kernelStackCycles);
     }
 
     /** Socket lookup/create for a flow (per-connection zone memo). */

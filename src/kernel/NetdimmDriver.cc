@@ -26,7 +26,7 @@ NetdimmDriver::NetdimmDriver(EventQueue &eq, std::string name,
 void
 NetdimmDriver::initRings()
 {
-    std::uint32_t entries = _cfg.nicModel.ringEntries;
+    std::uint32_t entries = NicModelConfig::ringEntries;
     bool fast = false;
     // Descriptor rings live on the NetDIMM zone (requirement of
     // Sec. 4.2.2); __alloc_netdimm_pages(zone, -1).
@@ -124,7 +124,7 @@ NetdimmDriver::recoverFromTxHang()
     dropInflightTx();
     _dev.reset();
     bool fast = false;
-    for (std::uint32_t i = 0; i + 1 < _cfg.nicModel.ringEntries; ++i)
+    for (std::uint32_t i = 0; i + 1 < NicModelConfig::ringEntries; ++i)
         _dev.postRxBuffer(_allocCache.takeAny(fast));
 }
 
@@ -171,7 +171,7 @@ NetdimmDriver::txFlushAndKick(const PacketPtr &pkt, Tick flush_start)
     // completion models the data reaching the local DRAM, which is
     // what guarantees nNIC sees fresh data).
     std::uint32_t lines = pkt->lines();
-    Tick issue = _cfg.cpu.cycles(_cfg.cpu.flushIssueCycles * lines);
+    Tick issue = CpuConfig::cycles(CpuConfig::flushIssueCycles * lines);
     _llc.invalidate(pkt->txBufAddr, pkt->bytes);
 
     scheduleRel(issue, [this, pkt, flush_start] {
@@ -193,8 +193,8 @@ NetdimmDriver::txFlushAndKick(const PacketPtr &pkt, Tick flush_start)
                     trackTx(pkt);
                     _dev.transmit(pkt);
                 } else {
-                    scheduleRel(_cfg.cpu.cycles(
-                                    _cfg.cpu.pollIterationCycles),
+                    scheduleRel(CpuConfig::cycles(
+                                    CpuConfig::pollIterationCycles),
                                 [this, pkt, t1] {
                                     txFlushAndKick(pkt, t1);
                                 });
@@ -210,8 +210,8 @@ NetdimmDriver::send(const PacketPtr &pkt)
     pkt->born = curTick();
     SocketPtr sock = socketFor(pkt->flowId);
 
-    Tick sw = _cfg.cpu.cycles(_cfg.cpu.txDriverCycles +
-                              _cfg.cpu.skbAllocCycles) +
+    Tick sw = CpuConfig::cycles(CpuConfig::txDriverCycles +
+                                CpuConfig::skbAllocCycles) +
               kernelStackDelay();
 
     bool copy_needed = !isNetZone(sock->skbZone) ||
@@ -237,7 +237,7 @@ NetdimmDriver::send(const PacketPtr &pkt)
         bool fast = false;
         Addr dma = _allocCache.takeAny(fast);
         Tick alloc_extra =
-            fast ? 0 : _cfg.cpu.cycles(_cfg.sw.allocSlowPathCycles);
+            fast ? 0 : CpuConfig::cycles(_cfg.sw.allocSlowPathCycles);
         pkt->txBufAddr = dma;
         scheduleRel(alloc_extra, [this, pkt, sock] {
             _copy.copy(pkt->txBufAddr, pkt->appSrcAddr, pkt->bytes,
@@ -262,7 +262,7 @@ NetdimmDriver::processRx(const PacketPtr &pkt, Tick visible,
     // picks the completion up late.
     Tick noticed = noticeAt(visible);
     Tick phase = noticed - visible;
-    Tick inval = _cfg.cpu.cycles(_cfg.cpu.flushIssueCycles);
+    Tick inval = CpuConfig::cycles(CpuConfig::flushIssueCycles);
     Addr desc = _dev.rxRing().descAddr(_dev.rxRing().head());
     _llc.invalidate(desc, DescriptorRing::descBytes);
     pkt->lat.add(LatComp::RxInvalidate, inval);
@@ -271,8 +271,8 @@ NetdimmDriver::processRx(const PacketPtr &pkt, Tick visible,
     eventq().schedule(start + inval,
                       [this, pkt, visible, phase,
                        cpu_done = std::move(cpu_done)] {
-        Tick poll_start = curTick() - phase - _cfg.cpu.cycles(
-                                                  _cfg.cpu.flushIssueCycles);
+        Tick poll_start = curTick() - phase -
+                          CpuConfig::cycles(CpuConfig::flushIssueCycles);
         Addr desc = _dev.rxRing().descAddr(_dev.rxRing().head());
         devRead(desc, DescriptorRing::descBytes,
                 [this, pkt, phase, poll_start,
@@ -283,8 +283,8 @@ NetdimmDriver::processRx(const PacketPtr &pkt, Tick visible,
 
             // SKB creation + header processing: the header line is
             // the packet's first cacheline, freshly parked in nCache.
-            Tick sw = _cfg.cpu.cycles(_cfg.cpu.rxDriverCycles +
-                                      _cfg.cpu.skbAllocCycles) +
+            Tick sw = CpuConfig::cycles(CpuConfig::rxDriverCycles +
+                                        CpuConfig::skbAllocCycles) +
                       kernelStackDelay();
             scheduleRel(sw, [this, pkt, t1,
                              cpu_done = std::move(cpu_done)] {
@@ -301,7 +301,7 @@ NetdimmDriver::processRx(const PacketPtr &pkt, Tick visible,
                             : _allocCache.takeAny(fast);
                     Tick alloc_extra =
                         fast ? 0
-                             : _cfg.cpu.cycles(
+                             : CpuConfig::cycles(
                                    _cfg.sw.allocSlowPathCycles);
                     pkt->appDstAddr = skb_data;
 

@@ -12,7 +12,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
     _mem = std::make_unique<MemorySystem>(eq, this->name() + ".mem",
                                           _cfg);
     _llc = std::make_unique<Llc>(eq, this->name() + ".llc", _cfg.llc,
-                                 _cfg.cpu, *_mem);
+                                 *_mem);
     _copy = std::make_unique<CopyEngine>(eq, this->name() + ".copy",
                                          _cfg, *_llc);
 
@@ -26,8 +26,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
     switch (_cfg.nic) {
       case NicKind::Discrete:
       case NicKind::DiscreteZeroCopy: {
-        _pcie = std::make_unique<PcieLink>(eq, this->name() + ".pcie",
-                                           _cfg.pcie);
+        _pcie = std::make_unique<PcieLink>(eq, this->name() + ".pcie");
         _nic = std::make_unique<DiscreteNic>(
             eq, this->name() + ".dnic", _cfg, *_pcie, *_llc);
         _driver = std::make_unique<StandardDriver>(
@@ -54,7 +53,7 @@ Node::Node(EventQueue &eq, std::string name, const SystemConfig &cfg,
         _netdimm->setRegionBase(base);
 
         _zoneAlloc = std::make_unique<NetdimmZoneAllocator>(
-            base, NetDimmDevice::localGeometry(_cfg));
+            base, NetDimmDevice::localGeometry());
         _alloc->addNetZone(0, _zoneAlloc.get());
         _allocCache = std::make_unique<AllocCache>(
             eq, this->name() + ".alloccache", *_zoneAlloc,

@@ -23,7 +23,7 @@ StandardDriver::StandardDriver(EventQueue &eq, std::string name,
 void
 StandardDriver::initRings()
 {
-    std::uint32_t entries = _cfg.nicModel.ringEntries;
+    std::uint32_t entries = NicModelConfig::ringEntries;
     std::uint32_t ring_pages =
         (entries * DescriptorRing::descBytes + pageBytes - 1) /
         pageBytes;
@@ -66,7 +66,7 @@ StandardDriver::kick(const PacketPtr &pkt)
 {
     if (_nic.txRing().full()) {
         // Ring exhausted: back off one poll iteration and retry.
-        scheduleRel(_cfg.cpu.cycles(_cfg.cpu.pollIterationCycles),
+        scheduleRel(CpuConfig::cycles(CpuConfig::pollIterationCycles),
                     [this, pkt] { kick(pkt); });
         return;
     }
@@ -90,7 +90,7 @@ StandardDriver::recoverFromTxHang()
         rx_bufs.push_back(_nic.rxRing().pop(curTick()));
     dropInflightTx();
     _nic.reset();
-    std::uint32_t entries = _cfg.nicModel.ringEntries;
+    std::uint32_t entries = NicModelConfig::ringEntries;
     for (std::uint32_t i = 0; i + 1 < entries; ++i) {
         Addr buf;
         if (!rx_bufs.empty()) {
@@ -110,8 +110,8 @@ StandardDriver::send(const PacketPtr &pkt)
 {
     pkt->born = curTick();
 
-    Tick sw = _cfg.cpu.cycles(_cfg.cpu.txDriverCycles +
-                              _cfg.cpu.skbAllocCycles) +
+    Tick sw = CpuConfig::cycles(CpuConfig::txDriverCycles +
+                                CpuConfig::skbAllocCycles) +
               kernelStackDelay();
 
     if (_zeroCopy) {
@@ -119,8 +119,8 @@ StandardDriver::send(const PacketPtr &pkt)
         // per-packet pin/buffer management instead of the copy. A
         // bare-metal zero-copy driver also skips SKB construction --
         // the application buffer is the packet.
-        sw = _cfg.cpu.cycles(_cfg.cpu.txDriverCycles);
-        Tick mgmt = _cfg.cpu.cycles(_cfg.sw.zcpyMgmtCycles);
+        sw = CpuConfig::cycles(CpuConfig::txDriverCycles);
+        Tick mgmt = CpuConfig::cycles(_cfg.sw.zcpyMgmtCycles);
         pkt->txBufAddr = pkt->appSrcAddr;
         scheduleRel(sw + mgmt, [this, pkt] {
             pkt->lat.add(LatComp::TxCopy, curTick() - pkt->born);
@@ -130,7 +130,7 @@ StandardDriver::send(const PacketPtr &pkt)
     }
 
     // Copy mode additionally allocates a DMA buffer for the packet.
-    sw += _cfg.cpu.cycles(_cfg.sw.dmaBufAllocCycles);
+    sw += CpuConfig::cycles(_cfg.sw.dmaBufAllocCycles);
     Addr dma = takeTxBuffer();
     pkt->txBufAddr = dma;
     scheduleRel(sw, [this, pkt, dma] {
@@ -155,16 +155,16 @@ StandardDriver::processRx(const PacketPtr &pkt, Tick visible,
     Tick detect = std::max(noticed, curTick()) + _llc.hitLatency();
     pkt->lat.add(LatComp::IoReg, detect - visible);
 
-    Tick sw = _cfg.cpu.cycles(
-        _zeroCopy ? _cfg.cpu.rxDriverCycles
-                  : _cfg.cpu.rxDriverCycles + _cfg.cpu.skbAllocCycles);
+    Tick sw = CpuConfig::cycles(
+        _zeroCopy ? CpuConfig::rxDriverCycles
+                  : CpuConfig::rxDriverCycles + CpuConfig::skbAllocCycles);
     sw += kernelStackDelay();
 
     eventq().schedule(detect + sw, [this, pkt, detect,
                                     cpu_done = std::move(cpu_done)] {
         if (_zeroCopy) {
             // The DMA buffer is an application page already.
-            Tick mgmt = _cfg.cpu.cycles(_cfg.sw.zcpyMgmtCycles);
+            Tick mgmt = CpuConfig::cycles(_cfg.sw.zcpyMgmtCycles);
             pkt->appDstAddr = pkt->rxBufAddr;
             scheduleRel(mgmt, [this, pkt, detect,
                                cpu_done = std::move(cpu_done)] {
@@ -184,7 +184,7 @@ StandardDriver::processRx(const PacketPtr &pkt, Tick visible,
         pkt->appDstAddr = app;
         // Allocate the application-side landing buffer, then copy;
         // the core is busy for the duration of the copy loop.
-        Tick alloc = _cfg.cpu.cycles(_cfg.sw.dmaBufAllocCycles);
+        Tick alloc = CpuConfig::cycles(_cfg.sw.dmaBufAllocCycles);
         scheduleRel(alloc, [this, pkt, detect, app,
                             cpu_done = std::move(cpu_done)] {
             _copy.copy(app, pkt->rxBufAddr, pkt->bytes,

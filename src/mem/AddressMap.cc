@@ -7,10 +7,10 @@ namespace netdimm
 
 DimmDecoder::DimmDecoder(const DramGeometry &geo) : _geo(geo)
 {
-    ND_ASSERT(geo.rowBytes > 0 && geo.rowsPerSubArray > 0);
-    std::uint64_t sub_array_bytes =
-        std::uint64_t(geo.rowsPerSubArray) * geo.rowBytes;
-    ND_ASSERT(sub_array_bytes % pageBytes == 0);
+    constexpr std::uint64_t sub_array_bytes =
+        std::uint64_t(DramGeometry::rowsPerSubArray) *
+        DramGeometry::rowBytes;
+    static_assert(sub_array_bytes > 0 && sub_array_bytes % pageBytes == 0);
     _pagesPerSubArray = std::uint32_t(sub_array_bytes / pageBytes);
     // Consecutive pages stripe over this many (bank, sub-array-slice)
     // slots before wrapping back; Fig. 9(c) shows 32 slots for the

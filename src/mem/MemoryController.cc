@@ -5,17 +5,23 @@
 namespace netdimm
 {
 
+namespace
+{
+
+/** Write-queue length at which the controller starts draining. */
+constexpr std::size_t drainHi =
+    std::size_t(MemCtrlConfig::writeDrainFraction *
+                double(MemCtrlConfig::writeQueueDepth));
+
+} // namespace
+
 MemoryController::MemoryController(EventQueue &eq, std::string name,
-                                   const DramTiming &timing,
                                    const DramGeometry &geo,
                                    const MemCtrlConfig &cfg)
-    : SimObject(eq, std::move(name)), _timing(timing), _geo(geo),
-      _cfg(cfg), _decoder(geo),
+    : SimObject(eq, std::move(name)), _geo(geo), _cfg(cfg), _decoder(geo),
       _banks(std::size_t(geo.ranksPerChannel) * geo.banksPerDevice),
       _stats(numMemSources)
 {
-    _drainHi = std::size_t(_cfg.writeDrainFraction *
-                           double(_cfg.writeQueueDepth));
     _handlerShare =
         std::min(1.0, std::max(0.01, _cfg.handlerBusShare));
     _probeId = eq.registerHealthProbe(this->name(), [this] {
@@ -89,9 +95,9 @@ MemoryController::pickBeat(Beat &out)
 {
     // Choose queue: reads have priority until the write queue crosses
     // its drain watermark; draining continues until half empty.
-    if (_writeQ.size() >= _drainHi)
+    if (_writeQ.size() >= drainHi)
         _draining = true;
-    if (_writeQ.size() <= _drainHi / 2)
+    if (_writeQ.size() <= drainHi / 2)
         _draining = false;
 
     BeatQueue *order[2];
@@ -210,8 +216,8 @@ MemoryController::issueBeat(const Beat &beat)
     // the CAS latency of beat N under the data burst of beat N-1, so
     // back-to-back row hits stream at max(tCCD, tBURST) -- the
     // channel's nominal bandwidth.
-    Tick cl = _timing.clocks(_timing.tCL);
-    Tick burst = _timing.clocks(_timing.tBURST);
+    Tick cl = DramTiming::clocks(DramTiming::tCL);
+    Tick burst = DramTiming::clocks(DramTiming::tBURST);
 
     Tick cas_at = std::max(beat.ready, bs.nextCasAt);
     if (bs.rowOpen && bs.openRow == row) {
@@ -219,10 +225,10 @@ MemoryController::issueBeat(const Beat &beat)
     } else if (bs.rowOpen) {
         // Precharge (plus write recovery if the last op was a write,
         // folded into tRP here) then activate.
-        cas_at += _timing.clocks(_timing.tRP + _timing.tRCD);
+        cas_at += DramTiming::clocks(DramTiming::tRP + DramTiming::tRCD);
         _rowMisses.inc();
     } else {
-        cas_at += _timing.clocks(_timing.tRCD);
+        cas_at += DramTiming::clocks(DramTiming::tRCD);
         _rowMisses.inc();
     }
 
@@ -256,7 +262,7 @@ MemoryController::issueBeat(const Beat &beat)
 
     bs.rowOpen = true;
     bs.openRow = row;
-    bs.nextCasAt = cas_at + _timing.clocks(_timing.tCCD);
+    bs.nextCasAt = cas_at + DramTiming::clocks(DramTiming::tCCD);
 
     _beats.inc();
     if (beat.handler) {
@@ -310,7 +316,7 @@ MemoryController::service()
     // configured policy across whatever is ready *then*. Eager issue
     // would reserve future slots FIFO at ready time and reduce every
     // policy to arrival order.
-    const Tick burst = _timing.clocks(_timing.tBURST);
+    const Tick burst = DramTiming::clocks(DramTiming::tBURST);
     Beat beat;
     while ((_handlerQueued == 0 || _busReady <= curTick() + burst) &&
            pickBeat(beat))
@@ -384,7 +390,8 @@ Tick
 MemoryController::idleReadLatency() const
 {
     return _cfg.frontendLatency +
-           _timing.clocks(_timing.tRCD + _timing.tCL + _timing.tBURST) +
+           DramTiming::clocks(DramTiming::tRCD + DramTiming::tCL +
+                              DramTiming::tBURST) +
            _cfg.backendLatency;
 }
 

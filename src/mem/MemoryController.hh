@@ -58,13 +58,11 @@ class MemoryController : public SimObject, public MemTarget
     /**
      * @param eq event queue.
      * @param name instance name.
-     * @param timing DDR timing set.
      * @param geo geometry of the DIMMs on this channel.
      * @param cfg queueing parameters.
      */
     MemoryController(EventQueue &eq, std::string name,
-                     const DramTiming &timing, const DramGeometry &geo,
-                     const MemCtrlConfig &cfg);
+                     const DramGeometry &geo, const MemCtrlConfig &cfg);
     ~MemoryController() override;
 
     void access(const MemRequestPtr &req) override;
@@ -143,8 +141,6 @@ class MemoryController : public SimObject, public MemTarget
     {
         return _eccUncorrectable.value();
     }
-    std::size_t readQueueSize() const { return _readQ.size(); }
-    std::size_t writeQueueSize() const { return _writeQ.size(); }
     /** Mean read latency across every source, ns. */
     double meanReadLatencyNs() const;
     /** Channel data-bus utilization in [0, 1] since construction. */
@@ -233,7 +229,6 @@ class MemoryController : public SimObject, public MemTarget
         Tick nextCasAt = 0;
     };
 
-    const DramTiming _timing;
     const DramGeometry _geo;
     const MemCtrlConfig _cfg;
     DimmDecoder _decoder;
@@ -243,7 +238,6 @@ class MemoryController : public SimObject, public MemTarget
     Tick _busBusyTicks = 0; ///< accumulated bus occupancy
     BeatQueue _readQ;
     BeatQueue _writeQ;
-    std::size_t _drainHi = 0; ///< precomputed write-drain watermark
     bool _draining = false;
     bool _serviceScheduled = false;
     Tick _serviceAt = 0; ///< tick of the earliest pending service event

@@ -17,8 +17,8 @@ MemorySystem::MemorySystem(EventQueue &eq, std::string name,
     per_channel.channels = 1;
     for (std::uint32_t c = 0; c < cfg.hostMem.channels; ++c) {
         _channels.push_back(std::make_unique<MemoryController>(
-            eq, this->name() + ".mc" + std::to_string(c), cfg.dram,
-            per_channel, cfg.memCtrl));
+            eq, this->name() + ".mc" + std::to_string(c), per_channel,
+            cfg.memCtrl));
     }
 }
 

@@ -22,9 +22,8 @@ cloneModeName(CloneMode m)
 }
 
 RowCloneEngine::RowCloneEngine(EventQueue &eq, std::string name,
-                               MemoryController &local_mc,
-                               const RowCloneConfig &cfg)
-    : SimObject(eq, std::move(name)), _mc(local_mc), _cfg(cfg)
+                               MemoryController &local_mc)
+    : SimObject(eq, std::move(name)), _mc(local_mc)
 {
 }
 
@@ -59,12 +58,14 @@ RowCloneEngine::modeLatency(CloneMode m, Addr src,
         Addr first_row = src / row_bytes;
         Addr last_row = (src + size - 1) / row_bytes;
         auto rows = std::uint32_t(last_row - first_row + 1);
-        return Tick(rows) * _cfg.fpmPerRow;
+        return Tick(rows) * RowCloneConfig::fpmPerRow;
       }
       case CloneMode::PSM:
-        return _cfg.psmSetup + Tick(lines) * _cfg.psmPerLine;
+        return RowCloneConfig::psmSetup +
+               Tick(lines) * RowCloneConfig::psmPerLine;
       case CloneMode::GCM:
-        return _cfg.gcmSetup + Tick(lines) * _cfg.gcmPerLine;
+        return RowCloneConfig::gcmSetup +
+               Tick(lines) * RowCloneConfig::gcmPerLine;
       case CloneMode::Failed:
         break;
     }
@@ -88,7 +89,7 @@ RowCloneEngine::clone(Addr src, Addr dst, std::uint32_t size,
         // The copy command fails verification; the bank state is
         // untouched and the caller learns after the setup time.
         _failed.inc();
-        Tick done = curTick() + _cfg.gcmSetup;
+        Tick done = curTick() + RowCloneConfig::gcmSetup;
         if (cb) {
             eventq().schedule(done, [cb = std::move(cb), done] {
                 cb(done, CloneMode::Failed);

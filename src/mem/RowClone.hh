@@ -50,8 +50,7 @@ class RowCloneEngine : public SimObject
     using Completion = InlineFunction<void(Tick, CloneMode), 80>;
 
     RowCloneEngine(EventQueue &eq, std::string name,
-                   MemoryController &local_mc,
-                   const RowCloneConfig &cfg);
+                   MemoryController &local_mc);
 
     /**
      * Copy @p size bytes from @p src to @p dst (both DIMM-relative
@@ -93,7 +92,6 @@ class RowCloneEngine : public SimObject
 
   private:
     MemoryController &_mc;
-    const RowCloneConfig _cfg;
     FaultDomain *_faultDomain = nullptr;
     double _failProb = 0.0;
 

@@ -6,13 +6,13 @@ namespace netdimm
 {
 
 DramGeometry
-NetDimmDevice::localGeometry(const SystemConfig &cfg)
+NetDimmDevice::localGeometry()
 {
-    // One local channel; the Fig. 9 rank layout with the configured
-    // number of ranks.
-    DramGeometry geo = cfg.hostMem;
+    // One local channel; the Fig. 9 rank layout with the NetDIMM's
+    // ranks.
+    DramGeometry geo;
     geo.channels = 1;
-    geo.ranksPerChannel = cfg.netdimm.localRanks;
+    geo.ranksPerChannel = NetDimmConfig::localRanks;
     return geo;
 }
 
@@ -23,12 +23,11 @@ NetDimmDevice::NetDimmDevice(EventQueue &eq, std::string name,
       _ncache(cfg.netdimm, cfg.seed ^ 0x9E3779B9u)
 {
     _localMc = std::make_unique<MemoryController>(
-        eq, this->name() + ".nmc", cfg.dram, localGeometry(cfg),
-        cfg.memCtrl);
+        eq, this->name() + ".nmc", localGeometry(), cfg.memCtrl);
     _rowClone = std::make_unique<RowCloneEngine>(
-        eq, this->name() + ".rowclone", *_localMc, cfg.netdimm.rowClone);
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
+        eq, this->name() + ".rowclone", *_localMc);
+    _txRing.init(0, NicModelConfig::ringEntries);
+    _rxRing.init(0, NicModelConfig::ringEntries);
     if (cfg.handler.enabled) {
         _handlers = std::make_unique<HandlerStage>(
             eq, this->name() + ".handlers", cfg, *_localMc,
@@ -45,7 +44,7 @@ NetDimmDevice::NetDimmDevice(EventQueue &eq, std::string name,
 std::uint64_t
 NetDimmDevice::localBytes() const
 {
-    return localGeometry(config()).channelBytes();
+    return localGeometry().channelBytes();
 }
 
 Addr
@@ -238,7 +237,7 @@ NetDimmDevice::transmit(const PacketPtr &pkt)
                         d->noteRecovered();
                     return;
                 }
-                Tick pipe = config().nicModel.pipelineLatency;
+                Tick pipe = NicModelConfig::pipelineLatency;
                 pkt->lat.add(LatComp::TxDma, (t2 + pipe) - t0);
                 _txFrames.inc();
                 eventq().schedule(t2 + pipe, [this, pkt] {
@@ -322,7 +321,7 @@ NetDimmDevice::hostDeliver(const PacketPtr &pkt)
     Addr buf_local = local(buf);
     Addr desc_local = local(_rxRing.descAddr(_rxRing.head()));
 
-    Tick pipe = config().nicModel.pipelineLatency;
+    Tick pipe = NicModelConfig::pipelineLatency;
     Tick ctrl = config().netdimm.controllerLatency;
 
     // nNIC MAC pipeline, then nController drains the RX buffer into

@@ -53,7 +53,7 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
                   MemoryController &host_channel);
 
     /** Geometry of the local DRAM (2 ranks of the Fig. 9 layout). */
-    static DramGeometry localGeometry(const SystemConfig &cfg);
+    static DramGeometry localGeometry();
 
     /** Local DRAM capacity exposed into the host address space. */
     std::uint64_t localBytes() const;

@@ -8,8 +8,8 @@ DiscreteNic::DiscreteNic(EventQueue &eq, std::string name,
                          Llc &llc)
     : NicDevice(eq, std::move(name), cfg), _pcie(pcie), _llc(llc)
 {
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
+    _txRing.init(0, NicModelConfig::ringEntries);
+    _rxRing.init(0, NicModelConfig::ringEntries);
 }
 
 void
@@ -70,7 +70,7 @@ DiscreteNic::transmit(const PacketPtr &pkt)
                                                t6](Tick t7) {
                                 pkt->pcieTicks += t7 - t6;
                                 Tick pipe =
-                                    _cfg.nicModel.pipelineLatency;
+                                    NicModelConfig::pipelineLatency;
                                 pkt->lat.add(LatComp::TxDma,
                                              (t7 + pipe) - ctx->atNic);
                                 scheduleRel(pipe, [this, pkt] {
@@ -102,7 +102,7 @@ DiscreteNic::rxPath(const PacketPtr &pkt)
     // keeping the descriptor *fetch* off the critical path; the
     // payload write and the descriptor status writeback are posted
     // writes upstream, landing in the DDIO ways of the LLC.
-    Tick pipe = _cfg.nicModel.pipelineLatency;
+    Tick pipe = NicModelConfig::pipelineLatency;
     scheduleRel(pipe, [this, pkt, t0, buf, desc_addr] {
         _pcie.postedWrite(pkt->bytes, PcieDir::Upstream,
                           [this, pkt, t0, buf, desc_addr](Tick t1) {

@@ -8,8 +8,8 @@ IntegratedNic::IntegratedNic(EventQueue &eq, std::string name,
                              MemTarget &mem)
     : NicDevice(eq, std::move(name), cfg), _llc(llc), _mem(mem)
 {
-    _txRing.init(0, cfg.nicModel.ringEntries);
-    _rxRing.init(0, cfg.nicModel.ringEntries);
+    _txRing.init(0, NicModelConfig::ringEntries);
+    _rxRing.init(0, NicModelConfig::ringEntries);
 }
 
 void
@@ -20,11 +20,11 @@ IntegratedNic::transmit(const PacketPtr &pkt)
 
     Tick t0 = curTick();
     Addr desc_addr = _txRing.descAddr(_txRing.tail());
-    Tick reg = _cfg.nicModel.onDieRegLatency;
+    Tick reg = NicModelConfig::onDieRegLatency;
 
     // T1 status-register check + doorbell: two uncore register
     // round trips (uncached mapping).
-    Tick dma_ovh = _cfg.nicModel.dmaEngineOverhead;
+    Tick dma_ovh = NicModelConfig::dmaEngineOverhead;
     scheduleRel(2 * reg, [this, pkt, t0, desc_addr, dma_ovh] {
         Tick t1 = curTick();
         pkt->lat.add(LatComp::IoReg, t1 - t0);
@@ -42,7 +42,7 @@ IntegratedNic::transmit(const PacketPtr &pkt)
                         _llc.dmaRead(pkt->txBufAddr, pkt->bytes,
                                      MemSource::HostDma,
                                      [this, pkt, t1](Tick t3) {
-                            Tick pipe = _cfg.nicModel.pipelineLatency;
+                            Tick pipe = NicModelConfig::pipelineLatency;
                             pkt->lat.add(LatComp::TxDma,
                                          (t3 + pipe) - t1);
                             scheduleRel(pipe, [this, pkt] {
@@ -68,8 +68,8 @@ IntegratedNic::rxPath(const PacketPtr &pkt)
     pkt->rxBufAddr = buf;
     Addr desc_addr = _rxRing.descAddr(_rxRing.head());
 
-    Tick pipe = _cfg.nicModel.pipelineLatency;
-    Tick dma_ovh = _cfg.nicModel.dmaEngineOverhead;
+    Tick pipe = NicModelConfig::pipelineLatency;
+    Tick dma_ovh = NicModelConfig::dmaEngineOverhead;
     scheduleRel(pipe + dma_ovh, [this, pkt, t0, buf, desc_addr,
                                  dma_ovh] {
         // The on-die agent fetches the next RX descriptor from

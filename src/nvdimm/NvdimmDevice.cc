@@ -19,7 +19,7 @@ Tick
 NvdimmPDevice::dqBurstTicks(std::uint32_t bytes) const
 {
     std::uint32_t beats = (bytes + cachelineBytes - 1) / cachelineBytes;
-    return Tick(beats) * _cfg.dram.clocks(_cfg.dram.tBURST);
+    return Tick(beats) * DramTiming::clocks(DramTiming::tBURST);
 }
 
 void
@@ -39,18 +39,16 @@ NvdimmPDevice::access(const MemRequestPtr &req)
 void
 NvdimmPDevice::start(const MemRequestPtr &req)
 {
-    const DramTiming &t = _cfg.dram;
-    const MemCtrlConfig &mc = _cfg.memCtrl;
-
     // Host MC frontend (queueing/decode) + XRD/XWR command slot. The
     // command travels on CA; writes additionally push their data on DQ
     // right behind the command.
-    Tick cmd_at = curTick() + mc.frontendLatency + t.clocks(t.tCMD);
+    Tick cmd_at = curTick() + MemCtrlConfig::frontendLatency +
+                  DramTiming::clocks(DramTiming::tCMD);
     if (req->write) {
         Tick slot = _host.reserveBus(cmd_at, dqBurstTicks(req->size));
         cmd_at = slot + dqBurstTicks(req->size);
     }
-    Tick at_device = cmd_at + mc.backendLatency;
+    Tick at_device = cmd_at + MemCtrlConfig::backendLatency;
 
     auto self = this;
     eventq().schedule(at_device, [self, req] {
@@ -68,7 +66,6 @@ NvdimmPDevice::start(const MemRequestPtr &req)
 void
 NvdimmPDevice::finish(const MemRequestPtr &req, Tick media_ready)
 {
-    const MemCtrlConfig &mc = _cfg.memCtrl;
     Tick done;
     if (req->write) {
         // Posted from the channel's perspective; completion callback
@@ -76,9 +73,10 @@ NvdimmPDevice::finish(const MemRequestPtr &req, Tick media_ready)
         done = media_ready;
     } else {
         // RDY -> SEND handshake, then the data burst on the host DQ.
-        Tick rdy = media_ready + _cfg.netdimm.asyncProtocolOverhead;
+        Tick rdy = media_ready + NetDimmConfig::asyncProtocolOverhead;
         Tick slot = _host.reserveBus(rdy, dqBurstTicks(req->size));
-        done = slot + dqBurstTicks(req->size) + mc.backendLatency;
+        done = slot + dqBurstTicks(req->size) +
+               MemCtrlConfig::backendLatency;
     }
 
     eventq().schedule(done, [this, req, done] {
@@ -98,11 +96,11 @@ NvdimmPDevice::finish(const MemRequestPtr &req, Tick media_ready)
 Tick
 NvdimmPDevice::idealHostReadLatency() const
 {
-    const DramTiming &t = _cfg.dram;
-    const MemCtrlConfig &mc = _cfg.memCtrl;
-    return mc.frontendLatency + t.clocks(t.tCMD) + mc.backendLatency +
-           idealMediaLatency() + _cfg.netdimm.asyncProtocolOverhead +
-           dqBurstTicks(cachelineBytes) + mc.backendLatency;
+    return MemCtrlConfig::frontendLatency +
+           DramTiming::clocks(DramTiming::tCMD) +
+           MemCtrlConfig::backendLatency + idealMediaLatency() +
+           NetDimmConfig::asyncProtocolOverhead +
+           dqBurstTicks(cachelineBytes) + MemCtrlConfig::backendLatency;
 }
 
 } // namespace netdimm

@@ -5,22 +5,15 @@
 namespace netdimm
 {
 
-PcieLink::PcieLink(EventQueue &eq, std::string name,
-                   const PcieConfig &cfg)
-    : SimObject(eq, std::move(name)), _cfg(cfg)
-{
-}
-
 Tick
 PcieLink::tlpTicks(std::uint32_t payload) const
 {
-    double bytes = double(payload + _cfg.tlpOverheadBytes);
-    return Tick(bytes / _cfg.bytesPerTick());
+    double bytes = double(payload + PcieConfig::tlpOverheadBytes);
+    return Tick(bytes / PcieConfig::bytesPerTick());
 }
 
 std::pair<Tick, Tick>
-PcieLink::sendTrain(std::uint32_t bytes, std::uint32_t mtu, PcieDir dir,
-                    Tick earliest)
+PcieLink::sendTrain(std::uint32_t bytes, PcieDir dir, Tick earliest)
 {
     int d = (dir == PcieDir::Downstream) ? 0 : 1;
     std::uint32_t left = bytes;
@@ -28,11 +21,11 @@ PcieLink::sendTrain(std::uint32_t bytes, std::uint32_t mtu, PcieDir dir,
     Tick last_arrival = 0;
     bool first = true;
     do {
-        std::uint32_t chunk = std::min(left, mtu);
+        std::uint32_t chunk = std::min(left, PcieConfig::maxPayloadBytes);
         Tick start = std::max({earliest, curTick(), _txFree[d]});
         Tick ser = tlpTicks(chunk);
         _txFree[d] = start + ser;
-        last_arrival = start + ser + _cfg.propagation;
+        last_arrival = start + ser + PcieConfig::propagation;
         if (first) {
             first_start = start;
             first = false;
@@ -49,7 +42,7 @@ PcieLink::postedWrite(std::uint32_t bytes, PcieDir dir,
                       Completion onArrive)
 {
     auto [start, arrival] =
-        sendTrain(bytes, _cfg.maxPayloadBytes, dir, curTick());
+        sendTrain(bytes, dir, curTick());
     if (onArrive) {
         eventq().schedule(arrival, [cb = std::move(onArrive), arrival] {
             cb(arrival);
@@ -61,7 +54,7 @@ PcieLink::postedWrite(std::uint32_t bytes, PcieDir dir,
 void
 PcieLink::sendHeader(PcieDir dir, Completion onArrive)
 {
-    auto [s, arrival] = sendTrain(0, _cfg.maxPayloadBytes, dir, curTick());
+    auto [s, arrival] = sendTrain(0, dir, curTick());
     (void)s;
     if (onArrive) {
         eventq().schedule(arrival, [cb = std::move(onArrive), arrival] {
@@ -81,17 +74,16 @@ PcieLink::read(std::uint32_t bytes, PcieDir dir, Completion onComplete)
     PcieDir back = (dir == PcieDir::Downstream) ? PcieDir::Upstream
                                                 : PcieDir::Downstream;
     std::uint32_t nreq =
-        std::max(1u, (bytes + _cfg.maxReadReqBytes - 1) /
-                         _cfg.maxReadReqBytes);
+        std::max(1u, (bytes + PcieConfig::maxReadReqBytes - 1) /
+                         PcieConfig::maxReadReqBytes);
     Tick req_arrival = 0;
     for (std::uint32_t i = 0; i < nreq; ++i) {
-        auto [s, a] = sendTrain(0, _cfg.maxPayloadBytes, dir, curTick());
+        auto [s, a] = sendTrain(0, dir, curTick());
         (void)s;
         req_arrival = std::max(req_arrival, a);
     }
     auto [cs, completion] =
-        sendTrain(std::max(bytes, 1u), _cfg.maxPayloadBytes, back,
-                  req_arrival);
+        sendTrain(std::max(bytes, 1u), back, req_arrival);
     (void)cs;
     if (onComplete) {
         eventq().schedule(completion,
@@ -107,17 +99,17 @@ PcieLink::idealPostedLatency(std::uint32_t bytes) const
     std::uint32_t left = bytes;
     Tick ser = 0;
     do {
-        std::uint32_t chunk = std::min(left, _cfg.maxPayloadBytes);
+        std::uint32_t chunk = std::min(left, PcieConfig::maxPayloadBytes);
         ser += tlpTicks(chunk);
         left -= chunk;
     } while (left > 0);
-    return ser + _cfg.propagation;
+    return ser + PcieConfig::propagation;
 }
 
 Tick
 PcieLink::idealReadLatency(std::uint32_t bytes) const
 {
-    return tlpTicks(0) + _cfg.propagation +
+    return tlpTicks(0) + PcieConfig::propagation +
            idealPostedLatency(std::max(bytes, 1u));
 }
 

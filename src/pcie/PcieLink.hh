@@ -39,7 +39,7 @@ class PcieLink : public SimObject
     /** Per-TLP completion; inline storage, no heap (hot path). */
     using Completion = InlineFunction<void(Tick), 80>;
 
-    PcieLink(EventQueue &eq, std::string name, const PcieConfig &cfg);
+    using SimObject::SimObject;
 
     /**
      * Posted memory write (MWr): @p bytes of payload travel in
@@ -87,7 +87,6 @@ class PcieLink : public SimObject
     std::uint64_t payloadBytes() const { return _payload.value(); }
 
   private:
-    const PcieConfig _cfg;
     /** Per-direction transmitter-free time: [0]=down, [1]=up. */
     Tick _txFree[2] = {0, 0};
 
@@ -98,11 +97,11 @@ class PcieLink : public SimObject
     Tick tlpTicks(std::uint32_t payload) const;
 
     /**
-     * Send a TLP train carrying @p bytes split at @p mtu, starting no
-     * earlier than @p earliest; returns (first-start, last-arrival).
+     * Send a TLP train carrying @p bytes split at the maximum
+     * payload size, starting no earlier than @p earliest; returns
+     * (first-start, last-arrival).
      */
-    std::pair<Tick, Tick> sendTrain(std::uint32_t bytes,
-                                    std::uint32_t mtu, PcieDir dir,
+    std::pair<Tick, Tick> sendTrain(std::uint32_t bytes, PcieDir dir,
                                     Tick earliest);
 };
 

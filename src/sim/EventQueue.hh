@@ -259,8 +259,6 @@ class EventQueue
                    : 0;
     }
 
-    std::size_t healthProbes() const { return _probes.size(); }
-
     /**
      * Evaluate all probes now. Counts (and warns about) a deadlock
      * when any active probe reports outstanding work; run() calls

@@ -260,7 +260,7 @@ class ServingSim
         {
             std::uint64_t g = gen;
             sim.eq.scheduleRel(
-                sim.cfg.cpu.cycles(appServiceCycles),
+                CpuConfig::cycles(appServiceCycles),
                 [this, req, g] {
                     if (g != gen)
                         return;

@@ -18,10 +18,6 @@ fig9Geometry()
     DramGeometry geo;
     geo.channels = 1;
     geo.ranksPerChannel = 2;
-    geo.banksPerDevice = 16;
-    geo.subArraysPerBank = 512;
-    geo.rowsPerSubArray = 128;
-    geo.rowBytes = 1024;
     return geo;
 }
 } // namespace

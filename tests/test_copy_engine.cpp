@@ -23,7 +23,7 @@ struct Fixture
     CopyEngine copy;
 
     Fixture()
-        : mem(eq, "mem", cfg), llc(eq, "llc", cfg.llc, cfg.cpu, mem),
+        : mem(eq, "mem", cfg), llc(eq, "llc", cfg.llc, mem),
           copy(eq, "copy", cfg, llc)
     {}
 

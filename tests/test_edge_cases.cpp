@@ -46,7 +46,7 @@ TEST(LlcDdioOff, DmaWritesBypassToMemory)
     SystemConfig cfg;
     cfg.llc.ddioEnabled = false;
     CountingMem mem(eq);
-    Llc llc(eq, "llc", cfg.llc, cfg.cpu, mem);
+    Llc llc(eq, "llc", cfg.llc, mem);
 
     Tick done = 0;
     llc.dmaWrite(0, 1024, MemSource::HostDma,
@@ -64,7 +64,7 @@ TEST(LlcDdioOff, DmaReadsGoToMemoryEvenWhenResident)
     SystemConfig cfg;
     cfg.llc.ddioEnabled = false;
     CountingMem mem(eq);
-    Llc llc(eq, "llc", cfg.llc, cfg.cpu, mem);
+    Llc llc(eq, "llc", cfg.llc, mem);
 
     // CPU warms the line...
     auto req = makeMemRequest(0, 64, false, MemSource::HostCpu, nullptr);
@@ -84,7 +84,7 @@ TEST(LlcDdioOff, DmaWriteInvalidatesStaleCpuCopy)
     SystemConfig cfg;
     cfg.llc.ddioEnabled = false;
     CountingMem mem(eq);
-    Llc llc(eq, "llc", cfg.llc, cfg.cpu, mem);
+    Llc llc(eq, "llc", cfg.llc, mem);
     auto req = makeMemRequest(0, 64, false, MemSource::HostCpu, nullptr);
     llc.access(req);
     eq.run();

@@ -266,7 +266,7 @@ struct McFixture
     MemoryController mc;
 
     McFixture()
-        : mc(eq, "mc", cfg.dram, perChannel(cfg.hostMem), cfg.memCtrl)
+        : mc(eq, "mc", perChannel(cfg.hostMem), cfg.memCtrl)
     {}
 
     static DramGeometry

@@ -30,20 +30,14 @@ struct Fixture
     std::vector<PacketPtr> hosted; ///< fell through to host RX
 
     explicit Fixture(std::function<void(SystemConfig &)> tweak = {})
-        : mc(eq, "mc", tweaked(cfg, std::move(tweak)).dram, localGeo(),
-             cfg.memCtrl),
-          hs(eq, "hs", cfg, mc, localGeo().channelBytes())
+        : mc(eq, "mc", NetDimmDevice::localGeometry(),
+             tweaked(cfg, std::move(tweak)).memCtrl),
+          hs(eq, "hs", cfg, mc,
+             NetDimmDevice::localGeometry().channelBytes())
     {
         hs.setTx([this](const PacketPtr &p) { txed.push_back(p); });
         hs.setHostRx(
             [this](const PacketPtr &p) { hosted.push_back(p); });
-    }
-
-    static DramGeometry
-    localGeo()
-    {
-        SystemConfig c;
-        return NetDimmDevice::localGeometry(c);
     }
 
     static const SystemConfig &
@@ -410,8 +404,8 @@ TEST(MemoryController, HostPriorityFavoursHostUnderContention)
     SystemConfig cfg;
     cfg.memCtrl.handlerArb = MemArbPolicy::HostPriority;
     EventQueue eq;
-    DramGeometry g = NetDimmDevice::localGeometry(cfg);
-    MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
+    DramGeometry g = NetDimmDevice::localGeometry();
+    MemoryController mc(eq, "mc", g, cfg.memCtrl);
 
     auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
     auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
@@ -425,8 +419,8 @@ TEST(MemoryController, FairSitsBetweenPriorityExtremes)
         SystemConfig cfg;
         cfg.memCtrl.handlerArb = arb;
         EventQueue eq;
-        DramGeometry g = NetDimmDevice::localGeometry(cfg);
-        MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
+        DramGeometry g = NetDimmDevice::localGeometry();
+        MemoryController mc(eq, "mc", g, cfg.memCtrl);
         auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
         auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
         eq.run();
@@ -444,8 +438,8 @@ TEST(MemoryController, StaticCapThrottlesHandlerClass)
         cfg.memCtrl.handlerArb = MemArbPolicy::StaticCap;
         cfg.memCtrl.handlerBusShare = share;
         EventQueue eq;
-        DramGeometry g = NetDimmDevice::localGeometry(cfg);
-        MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
+        DramGeometry g = NetDimmDevice::localGeometry();
+        MemoryController mc(eq, "mc", g, cfg.memCtrl);
         auto host = burst(eq, mc, MemSource::HostCpu, 16, 0);
         auto hand = burst(eq, mc, MemSource::Handler, 16, 1u << 20);
         eq.run();
@@ -465,8 +459,8 @@ TEST(MemoryController, LegacyPathBitIdenticalWithoutHandlerTraffic)
         cfg.memCtrl.handlerArb = arb;
         cfg.memCtrl.handlerBusShare = 0.25;
         EventQueue eq;
-        DramGeometry g = NetDimmDevice::localGeometry(cfg);
-        MemoryController mc(eq, "mc", cfg.dram, g, cfg.memCtrl);
+        DramGeometry g = NetDimmDevice::localGeometry();
+        MemoryController mc(eq, "mc", g, cfg.memCtrl);
         auto a = burst(eq, mc, MemSource::HostCpu, 24, 0);
         auto b = burst(eq, mc, MemSource::HostDma, 24, 1u << 21);
         eq.run();

@@ -42,7 +42,7 @@ struct Fixture
     CountingMem mem;
     Llc llc;
 
-    Fixture() : mem(eq), llc(eq, "llc", cfg.llc, cfg.cpu, mem) {}
+    Fixture() : mem(eq), llc(eq, "llc", cfg.llc, mem) {}
 
     Tick
     blockingAccess(Addr addr, std::uint32_t size = 64,
@@ -158,8 +158,8 @@ TEST(Llc, DdioConfinedToRestrictedWays)
     // 16-way, 10% DDIO -> 2 ways per set. Stream DMA writes mapping
     // to the same set; only 2 survive.
     std::uint32_t sets = std::uint32_t(
-        f.cfg.llc.sizeBytes / f.cfg.llc.lineBytes / f.cfg.llc.assoc);
-    Addr stride = Addr(sets) * f.cfg.llc.lineBytes;
+        f.cfg.llc.sizeBytes / cachelineBytes / f.cfg.llc.assoc);
+    Addr stride = Addr(sets) * cachelineBytes;
     for (int i = 0; i < 8; ++i)
         f.llc.dmaWrite(Addr(i) * stride, 64, MemSource::HostDma,
                        nullptr);
@@ -178,8 +178,8 @@ TEST(Llc, CpuReadClearsDdioMark)
 {
     Fixture f;
     std::uint32_t sets = std::uint32_t(
-        f.cfg.llc.sizeBytes / f.cfg.llc.lineBytes / f.cfg.llc.assoc);
-    Addr stride = Addr(sets) * f.cfg.llc.lineBytes;
+        f.cfg.llc.sizeBytes / cachelineBytes / f.cfg.llc.assoc);
+    Addr stride = Addr(sets) * cachelineBytes;
     f.llc.dmaWrite(0, 64, MemSource::HostDma, nullptr);
     f.eq.run();
     // CPU consumes the line: no longer counts as leak if evicted.
@@ -195,8 +195,8 @@ TEST(Llc, CpuFillsUseFullAssociativity)
 {
     Fixture f;
     std::uint32_t sets = std::uint32_t(
-        f.cfg.llc.sizeBytes / f.cfg.llc.lineBytes / f.cfg.llc.assoc);
-    Addr stride = Addr(sets) * f.cfg.llc.lineBytes;
+        f.cfg.llc.sizeBytes / cachelineBytes / f.cfg.llc.assoc);
+    Addr stride = Addr(sets) * cachelineBytes;
     for (std::uint32_t i = 0; i < f.cfg.llc.assoc; ++i)
         f.blockingAccess(Addr(i) * stride);
     int resident = 0;

@@ -21,7 +21,7 @@ struct Fixture
     MemoryController mc;
 
     Fixture()
-        : mc(eq, "mc", cfg.dram, perChannel(cfg.hostMem), cfg.memCtrl)
+        : mc(eq, "mc", perChannel(cfg.hostMem), cfg.memCtrl)
     {}
 
     static DramGeometry

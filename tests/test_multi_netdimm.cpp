@@ -33,7 +33,7 @@ struct DualHost
 
     explicit DualHost(EventQueue &e)
         : eq(e), cfg(makeCfg()), mem(e, "host.mem", cfg),
-          llc(e, "host.llc", cfg.llc, cfg.cpu, mem),
+          llc(e, "host.llc", cfg.llc, mem),
           copy(e, "host.copy", cfg, llc),
           alloc(1 << 20, cfg.hostMem.totalBytes() - (1 << 20))
     {
@@ -47,9 +47,9 @@ struct DualHost
         dev1->setRegionBase(b1);
 
         zone0 = std::make_unique<NetdimmZoneAllocator>(
-            b0, NetDimmDevice::localGeometry(cfg));
+            b0, NetDimmDevice::localGeometry());
         zone1 = std::make_unique<NetdimmZoneAllocator>(
-            b1, NetDimmDevice::localGeometry(cfg));
+            b1, NetDimmDevice::localGeometry());
         alloc.addNetZone(0, zone0.get());
         alloc.addNetZone(1, zone1.get());
         cache0 = std::make_unique<AllocCache>(

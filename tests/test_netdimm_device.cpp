@@ -59,10 +59,9 @@ struct Fixture
 
 TEST(NetDimmDevice, LocalGeometryIsTwoRankFig9)
 {
-    SystemConfig cfg;
-    DramGeometry g = NetDimmDevice::localGeometry(cfg);
+    DramGeometry g = NetDimmDevice::localGeometry();
     EXPECT_EQ(g.channels, 1u);
-    EXPECT_EQ(g.ranksPerChannel, cfg.netdimm.localRanks);
+    EXPECT_EQ(g.ranksPerChannel, NetDimmConfig::localRanks);
     Fixture f;
     EXPECT_EQ(f.dev.localBytes(), g.channelBytes());
     EXPECT_EQ(f.dev.mappedBytes(), g.channelBytes() + pageBytes);

@@ -58,7 +58,7 @@ struct Fixture
 
     explicit Fixture(std::uint32_t max_ids = 64)
         : perChannel(makeGeo(cfg)),
-          host(eq, "host", cfg.dram, perChannel, cfg.memCtrl),
+          host(eq, "host", perChannel, cfg.memCtrl),
           dev(eq, cfg, host, max_ids)
     {}
 
@@ -100,7 +100,7 @@ TEST(NvdimmP, ReadCoversMediaPlusProtocolOverheads)
     // Must at least pay media + async handshake + one DQ burst.
     EXPECT_GE(done, f.dev.fixedLatency +
                         f.cfg.netdimm.asyncProtocolOverhead +
-                        f.cfg.dram.clocks(f.cfg.dram.tBURST));
+                        DramTiming::clocks(DramTiming::tBURST));
 }
 
 TEST(NvdimmP, WriteIsPostedButReachesMedia)

@@ -18,10 +18,6 @@ localGeo()
     DramGeometry g;
     g.channels = 1;
     g.ranksPerChannel = 2;
-    g.banksPerDevice = 16;
-    g.subArraysPerBank = 512;
-    g.rowsPerSubArray = 128;
-    g.rowBytes = 1024;
     return g;
 }
 

@@ -16,10 +16,9 @@ namespace
 struct Fixture
 {
     EventQueue eq;
-    SystemConfig cfg;
     PcieLink link;
 
-    Fixture() : link(eq, "pcie", cfg.pcie) {}
+    Fixture() : link(eq, "pcie") {}
 
     Tick
     blockingRead(std::uint32_t bytes,
@@ -46,9 +45,8 @@ struct Fixture
 
 TEST(Pcie, EffectiveBandwidthReflectsEncoding)
 {
-    PcieConfig p; // Gen4 x8
-    // 16 GT/s * 8 lanes * 128/130 / 8 = ~15.75 GB/s = 15.75 B/ns.
-    EXPECT_NEAR(p.bytesPerTick() * 1000.0, 15.75, 0.1);
+    // Gen4 x8: 16 GT/s * 8 lanes * 128/130 / 8 = ~15.75 GB/s.
+    EXPECT_NEAR(PcieConfig::bytesPerTick() * 1000.0, 15.75, 0.1);
 }
 
 TEST(Pcie, PostedWriteMatchesIdeal)
@@ -66,7 +64,7 @@ TEST(Pcie, ReadIsFullRoundTrip)
     Tick rd = f.blockingRead(64);
     EXPECT_EQ(rd, f.link.idealReadLatency(64));
     // At least two propagations.
-    EXPECT_GE(rd, 2 * f.cfg.pcie.propagation);
+    EXPECT_GE(rd, 2 * PcieConfig::propagation);
 }
 
 TEST(Pcie, MmioReadCostsRoundTripMmioWriteIsPosted)
@@ -134,7 +132,7 @@ TEST(Pcie, SendHeaderIsOneWay)
     f.link.sendHeader(PcieDir::Upstream, [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_LT(done, f.link.idealReadLatency(4));
-    EXPECT_GE(done, f.cfg.pcie.propagation);
+    EXPECT_GE(done, PcieConfig::propagation);
 }
 
 TEST(Pcie, ThroughputBoundedByLinkRate)

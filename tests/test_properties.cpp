@@ -73,8 +73,8 @@ TEST(PropertyRowClone, ModeMatchesDecodedRelation)
     DramGeometry geo;
     geo.channels = 1;
     geo.ranksPerChannel = 2;
-    MemoryController mc(eq, "mc", cfg.dram, geo, cfg.memCtrl);
-    RowCloneEngine rc(eq, "rc", mc, cfg.netdimm.rowClone);
+    MemoryController mc(eq, "mc", geo, cfg.memCtrl);
+    RowCloneEngine rc(eq, "rc", mc);
     const DimmDecoder &dec = mc.decoder();
     Random rng(7);
     std::uint64_t pages = geo.channelBytes() / pageBytes;

@@ -23,8 +23,8 @@ struct Fixture
 
     Fixture()
         : geo(makeGeo()),
-          mc(eq, "nmc", cfg.dram, geo, cfg.memCtrl),
-          rc(eq, "rc", mc, cfg.netdimm.rowClone)
+          mc(eq, "nmc", geo, cfg.memCtrl),
+          rc(eq, "rc", mc)
     {}
 
     static DramGeometry
@@ -104,7 +104,7 @@ TEST(RowClone, FpmLatencyScalesWithRows)
     auto [src, dst] = f.sameSubArrayPages();
     Tick one_row = f.rc.idealLatency(src, dst, 1024);
     Tick four_rows = f.rc.idealLatency(src, dst, 4096);
-    EXPECT_EQ(one_row, f.cfg.netdimm.rowClone.fpmPerRow);
+    EXPECT_EQ(one_row, RowCloneConfig::fpmPerRow);
     EXPECT_EQ(four_rows, 4 * one_row);
     // Sub-row copies still pay a full row pair.
     EXPECT_EQ(f.rc.idealLatency(src, dst, 64), one_row);
@@ -172,7 +172,7 @@ TEST(RowClone, PsmAndGcmOccupyTheLocalBus)
                               [&](Tick t) { done = t; });
     f.mc.access(req);
     f.eq.run();
-    EXPECT_GT(done, f.cfg.netdimm.rowClone.psmSetup);
+    EXPECT_GT(done, RowCloneConfig::psmSetup);
     EXPECT_EQ(f.rc.psmClones(), 1u);
 }
 

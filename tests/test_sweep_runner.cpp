@@ -291,7 +291,8 @@ TEST(SweepRunner, ParseSweepCliShards)
     // (the PDES benches pick their own sweep in that case).
     SweepCli cli;
     std::string err;
-    ASSERT_TRUE(tryParseSweepCli({"--shards", "4"}, {}, cli, err))
+    ASSERT_TRUE(tryParseSweepCli({"--shards", "4"}, {"--shards"}, cli,
+                                 err))
         << err;
     EXPECT_EQ(cli.shards, 4u);
 
@@ -303,7 +304,7 @@ TEST(SweepRunner, ParseSweepCliShards)
     SweepCli both;
     ASSERT_TRUE(tryParseSweepCli({"--jobs", "2", "--shards", "8",
                                   "--short"},
-                                 {}, both, err))
+                                 {"--shards"}, both, err))
         << err;
     EXPECT_EQ(both.jobs, 2u);
     EXPECT_EQ(both.shards, 8u);
@@ -317,19 +318,22 @@ TEST(SweepRunner, ParseSweepCliRejectsBadShards)
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "0"}, {}, cli, err));
+    EXPECT_FALSE(
+        tryParseSweepCli({"--shards", "0"}, {"--shards"}, cli, err));
     EXPECT_NE(err.find("--shards"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "-2"}, {}, cli, err));
+    EXPECT_FALSE(
+        tryParseSweepCli({"--shards", "-2"}, {"--shards"}, cli, err));
     EXPECT_NE(err.find("positive"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "four"}, {}, cli,
-                                  err));
+    EXPECT_FALSE(
+        tryParseSweepCli({"--shards", "four"}, {"--shards"}, cli, err));
     EXPECT_NE(err.find("four"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards", "4x"}, {}, cli, err));
+    EXPECT_FALSE(
+        tryParseSweepCli({"--shards", "4x"}, {"--shards"}, cli, err));
 
-    EXPECT_FALSE(tryParseSweepCli({"--shards"}, {}, cli, err));
+    EXPECT_FALSE(tryParseSweepCli({"--shards"}, {"--shards"}, cli, err));
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
@@ -339,18 +343,18 @@ TEST(SweepRunner, ParseSweepCliFidelity)
     // byte-identical default every golden is produced in).
     SweepCli cli;
     std::string err;
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "hybrid"}, {}, cli,
-                                 err))
+    ASSERT_TRUE(
+        tryParseSweepCli({"--fidelity", "hybrid"}, {"--fidelity"}, cli, err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Hybrid);
 
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid"}, {}, cli,
-                                 err))
+    ASSERT_TRUE(
+        tryParseSweepCli({"--fidelity", "fluid"}, {"--fidelity"}, cli, err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Fluid);
 
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "packet"}, {}, cli,
-                                 err))
+    ASSERT_TRUE(
+        tryParseSweepCli({"--fidelity", "packet"}, {"--fidelity"}, cli, err))
         << err;
     EXPECT_EQ(cli.fidelity, FidelityMode::Packet);
 
@@ -362,7 +366,7 @@ TEST(SweepRunner, ParseSweepCliFidelity)
     SweepCli both;
     ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid", "--jobs",
                                   "2", "--short"},
-                                 {}, both, err))
+                                 {"--fidelity"}, both, err))
         << err;
     EXPECT_EQ(both.fidelity, FidelityMode::Fluid);
     EXPECT_EQ(both.jobs, 2u);
@@ -380,15 +384,16 @@ TEST(SweepRunner, ParseSweepCliRejectsBadFidelity)
     SweepCli cli;
     std::string err;
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "analog"}, {}, cli,
-                                  err));
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "analog"}, {"--fidelity"},
+                                  cli, err));
     EXPECT_NE(err.find("analog"), std::string::npos);
     EXPECT_NE(err.find("--fidelity"), std::string::npos);
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "Packet"}, {}, cli,
-                                  err));
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "Packet"}, {"--fidelity"},
+                                  cli, err));
 
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity"}, {}, cli, err));
+    EXPECT_FALSE(
+        tryParseSweepCli({"--fidelity"}, {"--fidelity"}, cli, err));
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
@@ -406,4 +411,12 @@ TEST(SweepRunner, ParseSweepCliRejectsUnknownFlags)
 
     // Stray positional arguments are rejected too.
     EXPECT_FALSE(tryParseSweepCli({"12"}, {}, cli, err));
+
+    // --shards and --fidelity are opt-in: a bench that does not list
+    // them would ignore them, so they are unknown there.
+    EXPECT_FALSE(tryParseSweepCli({"--shards", "2"}, {}, cli, err));
+    EXPECT_NE(err.find("--shards"), std::string::npos);
+    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "fluid"}, {"--shards"},
+                                  cli, err));
+    EXPECT_NE(err.find("--fidelity"), std::string::npos);
 }
