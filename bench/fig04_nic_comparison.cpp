@@ -39,7 +39,7 @@ main(int argc, char **argv)
     std::vector<std::vector<PingResult>> res(kinds.size());
     for (std::uint32_t b : sizes) {
         std::printf("%-7u", b);
-        PingResult dzc{}, d{};
+        PingResult dzc, d;
         for (std::size_t k = 0; k < kinds.size(); ++k) {
             PingResult r = LatencyHarness(base, kinds[k]).run(b);
             res[k].push_back(r);

@@ -439,7 +439,6 @@ runHandoffDrill(bool short_mode)
     std::vector<std::uint64_t> fluidDelivered(k.nodes + 1, 0);
     std::vector<std::uint64_t> packetEnqueued(k.nodes + 1, 0);
     std::vector<std::uint64_t> remainderAfter(k.nodes + 1, 0);
-    std::uint64_t fluidCompleted = 0;
 
     // Phase 1: all flows fluid.
     for (std::uint32_t i = 0; i < k.nodes; ++i) {
@@ -479,9 +478,6 @@ runHandoffDrill(bool short_mode)
             FluidFlow &ff =
                 d.mgr.demote(d.solver, *f, {d.fluid});
             remainderAfter[id] = ff.totalBytes;
-            ff.onComplete = [&fluidCompleted](FluidFlow &) {
-                ++fluidCompleted;
-            };
             ++out.demotions;
         }
     });

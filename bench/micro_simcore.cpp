@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event scheduling, DRAM beat service, address decoding, nCache
- * operations and an end-to-end packet. These track the *simulator's*
+ * operations, an end-to-end packet, PDES synchronization and one
+ * fluid-solver round. These track the *simulator's*
  * performance (events/second), useful when scaling the replay
  * experiments up.
  */
@@ -13,6 +14,7 @@
 #include <memory>
 #include <thread>
 
+#include "flow/FluidSolver.hh"
 #include "mem/MemoryController.hh"
 #include "net/Link.hh"
 #include "net/Packet.hh"
@@ -333,6 +335,33 @@ BENCHMARK(BM_PdesNullQuanta)
     ->Args({4, 270400})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_FluidSolverRound(benchmark::State &state)
+{
+    // One hybrid-fidelity solver round (DESIGN.md §17): 1,024 flows
+    // on one congested 40 Gbps link. The odd ids are open-ended and
+    // stay live; the even ids finish during the untimed warm-up, so
+    // each timed round walks 512 live flows past 512 finished ones.
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &link = solver.addLink("bottleneck", EthConfig{}, 1460);
+    TransportConfig cfg;
+    for (std::uint64_t id = 1; id <= 1024; ++id)
+        solver.addFlow(id, cfg, {&link}, id % 2 ? 0 : 16 * 1024);
+    solver.start(maxTick);
+    eq.runUntil(usToTicks(50000));
+    if (solver.activeFlows() != 512) {
+        state.SkipWithError("finite flows still live after warm-up");
+        return;
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            eq.runUntil(eq.curTick() + solver.period()));
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("rounds");
+}
+BENCHMARK(BM_FluidSolverRound);
 
 } // namespace
 

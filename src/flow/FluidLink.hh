@@ -27,9 +27,9 @@
 #define NETDIMM_FLOW_FLUIDLINK_HH
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 
@@ -86,11 +86,22 @@ class FluidLink : public FluidBackground
      *  (wire Gbps). */
     void setFluidArrivalGbps(double gbps) { _arrBps = gbps / 8000.0; }
 
+    /** Add one flow's rate (wire Gbps) to the next interval's sum;
+     *  commitArrivals() applies the sum and starts a new one. */
+    void addArrivalGbps(double gbps) { _arrSumGbps += gbps; }
+    void
+    commitArrivals()
+    {
+        setFluidArrivalGbps(_arrSumGbps);
+        _arrSumGbps = 0.0;
+    }
+
     /**
      * Integrate the backlog exactly over [lastAdvance, now]. The
      * fluid drains at the link capacity minus the measured
      * packet-level rate over the same window (packet frames claim
-     * the transmitter byte-for-byte).
+     * the transmitter byte-for-byte). Then samples the congestion
+     * signal senders see at @p now (congestionSignal()).
      */
     void
     advanceTo(Tick now)
@@ -100,20 +111,26 @@ class FluidLink : public FluidBackground
         _winArrived = 0.0;
         _winDelivered = 0.0;
         _winDropped = 0.0;
-        if (dt <= 0.0) {
-            _lastT = now;
-            _pktWindowBytes = 0;
-            return;
+        if (dt > 0.0) {
+            double pktBps = double(_pktWindowBytes) / dt;
+            _capEffBps = std::max(0.0, _capBps - pktBps);
+            integrate(_arrBps, _capEffBps, dt);
+            _history[_historyNext] = {now, _backlog};
+            _historyNext = (_historyNext + 1) % kHistoryRounds;
+            _historyLen = std::min(_historyLen + 1, kHistoryRounds);
         }
-        double pktBps = double(_pktWindowBytes) / dt;
         _pktWindowBytes = 0;
-        _capEffBps = std::max(0.0, _capBps - pktBps);
-        integrate(_arrBps, _capEffBps, dt);
         _lastT = now;
-        _history.emplace_back(now, _backlog);
-        if (_history.size() > kHistoryRounds)
-            _history.pop_front();
+        _signal = congestedLagged(now) || droppedShare() > 0.0;
     }
+
+    /**
+     * The congestion signal every sender on this link sees at the
+     * last advanceTo(): a lagged ECN echo (congestedLagged()) or a
+     * tail drop in the last window. Sampled once per round so the
+     * solver's flows all read the same flag.
+     */
+    bool congestionSignal() const { return _signal; }
 
     /** Backlog at @p now >= lastAdvance, interpolating the open
      *  interval with the current rates (exact same math the next
@@ -150,10 +167,9 @@ class FluidLink : public FluidBackground
         double ecn = ecnWireBytes();
         if (ecn <= 0.0)
             return false;
-        for (auto it = _history.rbegin(); it != _history.rend(); ++it)
-            if (it->first <= t)
-                return it->second >= ecn;
-        return false;
+        const auto *e = newestWhere(
+            [t](const HistoryEntry &h) { return h.first <= t; });
+        return e && e->second >= ecn;
     }
 
     /**
@@ -175,11 +191,10 @@ class FluidLink : public FluidBackground
         double ecn = ecnWireBytes();
         if (ecn <= 0.0 || _capBps <= 0.0)
             return false;
-        for (auto it = _history.rbegin(); it != _history.rend(); ++it)
-            if (double(it->first) + it->second / _capBps <=
-                double(now))
-                return it->second >= ecn;
-        return false;
+        const auto *e = newestWhere([this, now](const HistoryEntry &h) {
+            return double(h.first) + h.second / _capBps <= double(now);
+        });
+        return e && e->second >= ecn;
     }
 
     // -- last-window shares (set by advanceTo) ---------------------------
@@ -231,6 +246,24 @@ class FluidLink : public FluidBackground
     }
 
   private:
+    /** (round tick, backlog) at one round end. */
+    using HistoryEntry = std::pair<Tick, double>;
+
+    /** The newest history entry matching @p pred, or nullptr. */
+    template <typename Pred>
+    const HistoryEntry *
+    newestWhere(Pred pred) const
+    {
+        for (std::size_t i = 1; i <= _historyLen; ++i) {
+            const HistoryEntry &h =
+                _history[(_historyNext + kHistoryRounds - i) %
+                         kHistoryRounds];
+            if (pred(h))
+                return &h;
+        }
+        return nullptr;
+    }
+
     /**
      * Exact integration of one linear segment: arrivals at @p a,
      * service at @p c (wire bytes/tick) for @p dt ticks. Splits the
@@ -283,6 +316,7 @@ class FluidLink : public FluidBackground
     const double _capBps; ///< capacity, wire bytes per tick
 
     double _arrBps = 0.0;   ///< fluid arrivals, wire bytes per tick
+    double _arrSumGbps = 0.0; ///< next interval's arrivals, being summed
     double _capEffBps = 0.0; ///< capacity minus packet load, last window
     double _backlog = 0.0;   ///< wire bytes queued
     Tick _lastT = 0;
@@ -294,10 +328,14 @@ class FluidLink : public FluidBackground
     double _winDropped = 0.0;
 
     /** Bounds the congestedAt() lookback (rounds, i.e. RTT-scale
-     *  intervals); lags beyond it clamp to the oldest entry. */
+     *  intervals); older round ends are overwritten. */
     static constexpr std::size_t kHistoryRounds = 512;
-    /** (round tick, backlog) at recent round ends, oldest first. */
-    std::deque<std::pair<Tick, double>> _history;
+    /** Ring of the last _historyLen round ends; the newest sits just
+     *  before _historyNext. */
+    std::array<HistoryEntry, kHistoryRounds> _history{};
+    std::size_t _historyNext = 0;
+    std::size_t _historyLen = 0;
+    bool _signal = false; ///< congestionSignal() at the last advance
 
     double _cumArrived = 0.0;
     double _cumDelivered = 0.0;

@@ -29,6 +29,8 @@ FluidSolver::addFlow(std::uint64_t id, const TransportConfig &cfg,
     ND_ASSERT(!path.empty());
     ND_ASSERT(_flows.find(id) == _flows.end());
     FluidFlow &f = _flows[id];
+    // A demoted flow may carry an id below the live ones.
+    _active.insert(liveSlot(id), &f);
     f.id = id;
     f.cfg = cfg;
     f.path = std::move(path);
@@ -54,6 +56,9 @@ FluidSolver::removeFlow(std::uint64_t id)
 {
     auto it = _flows.find(id);
     ND_ASSERT(it != _flows.end());
+    auto live = liveSlot(id);
+    if (live != _active.end() && *live == &it->second)
+        _active.erase(live);
     FluidFlow out = std::move(it->second);
     _removedDelivered += out.deliveredBytes;
     _flows.erase(it);
@@ -74,13 +79,12 @@ FluidSolver::start(Tick horizon)
                       EventPriority::Fluid);
 }
 
-std::uint64_t
-FluidSolver::activeFlows() const
+std::vector<FluidFlow *>::iterator
+FluidSolver::liveSlot(std::uint64_t id)
 {
-    std::uint64_t n = 0;
-    for (const auto &[id, f] : _flows)
-        n += f.done ? 0 : 1;
-    return n;
+    return std::lower_bound(
+        _active.begin(), _active.end(), id,
+        [](const FluidFlow *f, std::uint64_t key) { return f->id < key; });
 }
 
 double
@@ -97,20 +101,17 @@ FluidSolver::pushArrivalRates()
 {
     // Aggregate next-interval arrival rate per link, in wire Gbps.
     // A finished (or fully-offered) flow no longer arrives; its
-    // backlog keeps draining inside the link integrals.
-    for (auto &l : _links)
-        l->setFluidArrivalGbps(0.0);
-    std::map<FluidLink *, double> agg;
-    for (auto &[id, f] : _flows) {
-        if (f.done)
+    // backlog keeps draining inside the link integrals. Flows are
+    // summed in id order, so every link's double sum is the same
+    // whatever order the flows were added in.
+    for (const FluidFlow *f : _active) {
+        if (f->totalBytes && f->offeredBytes >= double(f->totalBytes))
             continue;
-        if (f.totalBytes && f.offeredBytes >= double(f.totalBytes))
-            continue;
-        for (FluidLink *l : f.path)
-            agg[l] += f.cc.rateGbps * l->wireFactor();
+        for (FluidLink *l : f->path)
+            l->addArrivalGbps(f->cc.rateGbps * l->wireFactor());
     }
-    for (auto &[l, gbps] : agg)
-        l->setFluidArrivalGbps(gbps);
+    for (auto &l : _links)
+        l->commitArrivals();
 }
 
 void
@@ -121,14 +122,17 @@ FluidSolver::round()
     _lastRound = now;
     ++_rounds;
 
-    // 1. Exact backlog integration over the closed interval.
+    // 1. Exact backlog integration over the closed interval, and
+    //    each link's congestion signal for this round.
     for (auto &l : _links)
         l->advanceTo(now);
 
-    // 2.+3. Per-flow ledger advance and rate control.
-    for (auto &[id, f] : _flows) {
-        if (f.done)
-            continue;
+    // 2.+3. Per-flow ledger advance and rate control. A flow that
+    // completes drops out of the live list, which is compacted in
+    // place.
+    std::size_t kept = 0;
+    for (FluidFlow *live : _active) {
+        FluidFlow &f = *live;
 
         // Offered bytes this window, at the rate chosen last round.
         double arr = f.cc.rateGbps / 8000.0 * double(dt);
@@ -148,12 +152,11 @@ FluidSolver::round()
         for (FluidLink *l : f.path) {
             fDel = std::min(fDel, l->deliveredShare());
             fDrop = std::max(fDrop, l->droppedShare());
-            // The ECN signal is sampled with the same feedback lag a
+            // The ECN signal carries the same feedback lag a
             // packet-level sender experiences: a mark reflects the
             // enqueue-time depth and only reaches the sender after
             // the marked frame has drained the backlog ahead of it.
-            congested = congested || l->congestedLagged(now) ||
-                        l->droppedShare() > 0.0;
+            congested = congested || l->congestionSignal();
         }
         fDrop = std::min(fDrop, 1.0 - fDel);
 
@@ -173,8 +176,6 @@ FluidSolver::round()
             f.done = true;
             f.doneTick = now;
             ++_completed;
-            if (f.onComplete)
-                f.onComplete(f);
             continue;
         }
 
@@ -207,7 +208,9 @@ FluidSolver::round()
             }
         }
         f.cc.timerRound(f.cfg);
+        _active[kept++] = live;
     }
+    _active.resize(kept);
 
     // 4. Push the new rates down for the next interval.
     pushArrivalRates();

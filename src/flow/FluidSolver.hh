@@ -13,13 +13,18 @@
  *  2. every flow advances its offered/delivered/backlogged byte ledger
  *     from its bottleneck link's window shares (conserving bytes:
  *     the shares partition each link's pool);
- *  3. flows whose path shows congestion (fluid backlog at/above the
- *     ECN threshold, or tail drops this round) apply DcqcnState::cut
- *     — the *same* control law, arithmetic and parameters as the
- *     packet-level TransportFlow — gated by the flow's own
- *     mark-sampling cadence (a flow only sees marks as often as its
- *     own frames arrive); then every flow runs one timerRound;
+ *  3. flows whose path shows congestion (a lagged ECN echo or tail
+ *     drops this round, sampled once per link in step 1) apply
+ *     DcqcnState::cut — the *same* control law, arithmetic and
+ *     parameters as the packet-level TransportFlow — gated by the
+ *     flow's own mark-sampling cadence (a flow only sees marks as
+ *     often as its own frames arrive); then every flow runs one
+ *     timerRound;
  *  4. next-round arrival rates are pushed down to the links.
+ *
+ * Steps 2-4 walk only the live flows, in id order, so a round costs
+ * O(live flows + links) and allocates nothing; a finished flow stays
+ * in the id map (findFlow, the delivered total) but leaves the walk.
  *
  * Tail drops are modeled as goodput loss with go-back-N recovery:
  * the dropped share of a flow's pool returns to its unsent ledger,
@@ -30,7 +35,6 @@
 #ifndef NETDIMM_FLOW_FLUIDSOLVER_HH
 #define NETDIMM_FLOW_FLUIDSOLVER_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -72,7 +76,6 @@ struct FluidFlow
      *  solver carries round-sampling overshoot forward so the
      *  average cut cadence equals the mark-sampling gap exactly. */
     Tick nextCutEligible = 0;
-    std::function<void(FluidFlow &)> onComplete;
 
     double rateGbps() const { return cc.rateGbps; }
 };
@@ -122,7 +125,7 @@ class FluidSolver : public SimObject
 
     Tick period() const { return _period; }
     std::uint64_t rounds() const { return _rounds; }
-    std::uint64_t activeFlows() const;
+    std::uint64_t activeFlows() const { return _active.size(); }
     std::uint64_t completedFlows() const { return _completed; }
     std::uint64_t rateCuts() const { return _cuts; }
     double totalDeliveredBytes() const;
@@ -136,6 +139,8 @@ class FluidSolver : public SimObject
   private:
     void round();
     void pushArrivalRates();
+    /** Where flow @p id sits (or would sit) in _active. */
+    std::vector<FluidFlow *>::iterator liveSlot(std::uint64_t id);
 
     Tick _period;
     Tick _horizon = 0;
@@ -148,6 +153,8 @@ class FluidSolver : public SimObject
 
     std::vector<std::unique_ptr<FluidLink>> _links;
     std::map<std::uint64_t, FluidFlow> _flows;
+    /** The unfinished flows of _flows, in id order. */
+    std::vector<FluidFlow *> _active;
 };
 
 } // namespace netdimm

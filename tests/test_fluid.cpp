@@ -114,13 +114,7 @@ TEST(FluidSolver, UncongestedFlowDeliversAtExactlyItsRate)
     TransportConfig cfg;
     cfg.lineRateGbps = 10.0; // well under the 40 Gbps link
     std::uint64_t total = 125000; // = 100 us at 10 Gbps
-    bool done = false;
-    Tick doneTick = 0;
-    FluidFlow &f = solver.addFlow(1, cfg, {&l}, total);
-    f.onComplete = [&](const FluidFlow &ff) {
-        done = true;
-        doneTick = ff.doneTick;
-    };
+    const FluidFlow &f = solver.addFlow(1, cfg, {&l}, total);
 
     solver.start(usToTicks(1000));
     eq.run();
@@ -128,8 +122,8 @@ TEST(FluidSolver, UncongestedFlowDeliversAtExactlyItsRate)
     // No congestion anywhere: the ledger advances by rate * dt per
     // round, so completion lands on the first round boundary at or
     // after the closed-form finish time (100 us -> round at 110 us).
-    EXPECT_TRUE(done);
-    EXPECT_EQ(doneTick, 2 * TransportConfig{}.rateIncreaseInterval);
+    EXPECT_TRUE(f.done);
+    EXPECT_EQ(f.doneTick, 2 * TransportConfig{}.rateIncreaseInterval);
     EXPECT_DOUBLE_EQ(solver.totalDeliveredBytes(), double(total));
     EXPECT_DOUBLE_EQ(l.backlogWireBytes(), 0.0);
     EXPECT_EQ(solver.rateCuts(), 0u);
@@ -201,6 +195,193 @@ TEST(FluidSolver, EcnFeedbackRegulatesASaturatedLink)
     // The regulated backlog ends in the neighbourhood of the ECN
     // threshold instead of growing without bound.
     EXPECT_LT(l.backlogWireBytes(), 20.0 * l.ecnWireBytes());
+}
+
+// -- FluidSolver: the per-round walk ------------------------------------
+
+namespace
+{
+
+/** Line-rate-only config: uncongested, the DCQCN rate stays put. */
+TransportConfig
+fixedRate(double gbps)
+{
+    TransportConfig cfg;
+    cfg.lineRateGbps = gbps;
+    return cfg;
+}
+
+/**
+ * The cumulative wire bytes a link integrates over @p windows rounds
+ * of @p period at the arrival sum @p gbps, with the same arithmetic
+ * FluidLink::advanceTo applies window by window.
+ */
+double
+arrivalsOver(double cum, double gbps, Tick period, int windows)
+{
+    for (int i = 0; i < windows; ++i)
+        cum += gbps / 8000.0 * double(period);
+    return cum;
+}
+
+} // namespace
+
+TEST(FluidSolver, CompletedFlowsLeaveTheWalkWithFrozenLedgers)
+{
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &l = solver.addLink("l", testEth(0, 0), 1460);
+    const Tick period = solver.period();
+
+    // 5 Gbps each, 15 Gbps total on a 40 Gbps link: no congestion.
+    // 50 kB takes 80 us (done at round 2), 500 kB 800 us (round 15).
+    FluidFlow &small = solver.addFlow(1, fixedRate(5.0), {&l}, 50000);
+    FluidFlow &big = solver.addFlow(2, fixedRate(5.0), {&l}, 500000);
+    FluidFlow &open = solver.addFlow(3, fixedRate(5.0), {&l}, 0);
+    EXPECT_EQ(solver.activeFlows(), 3u);
+
+    solver.start(40 * period);
+    eq.runUntil(5 * period);
+    ASSERT_TRUE(small.done);
+    EXPECT_EQ(small.doneTick, 2 * period);
+    EXPECT_EQ(solver.activeFlows(), 2u);
+    const FluidFlow smallAt5 = small;
+
+    eq.runUntil(20 * period);
+    ASSERT_TRUE(big.done);
+    EXPECT_EQ(big.doneTick, 15 * period);
+    EXPECT_EQ(solver.activeFlows(), 1u);
+    const FluidFlow bigAt20 = big;
+    const double openAt20 = open.deliveredBytes;
+
+    eq.run();
+    EXPECT_EQ(solver.rounds(), 40u);
+    EXPECT_EQ(solver.activeFlows(), 1u);
+    EXPECT_EQ(solver.completedFlows(), 2u);
+    // Finished flows are never advanced again...
+    for (const auto &[now, then] :
+         {std::pair{&small, &smallAt5}, std::pair{&big, &bigAt20}}) {
+        EXPECT_EQ(now->deliveredBytes, then->deliveredBytes);
+        EXPECT_EQ(now->offeredBytes, then->offeredBytes);
+        EXPECT_EQ(now->backlogBytes, then->backlogBytes);
+        EXPECT_EQ(now->doneTick, then->doneTick);
+        EXPECT_EQ(now->cc.rateGbps, then->cc.rateGbps);
+    }
+    EXPECT_EQ(small.deliveredBytes, 50000.0);
+    EXPECT_EQ(big.deliveredBytes, 500000.0);
+    // ...while the open-ended flow keeps moving at its rate.
+    EXPECT_DOUBLE_EQ(open.deliveredBytes - openAt20,
+                     5.0 / 8000.0 * double(20 * period));
+    EXPECT_DOUBLE_EQ(solver.totalDeliveredBytes(),
+                     550000.0 + open.deliveredBytes);
+}
+
+TEST(FluidSolver, LateLowIdFlowIsVisitedInIdOrder)
+{
+    // A demoted flow can carry an id below the flows already in the
+    // solver. The per-link arrival sum must still add flows in id
+    // order: the rates are picked so that insertion order gives a
+    // different double than id order.
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &l = solver.addLink("l", testEth(0, 0), 1460);
+    const Tick period = solver.period();
+    const double wf = l.wireFactor();
+    const double r2 = 1.1, r5 = 2.2, r6 = 3.3, r7 = 0.7;
+
+    solver.addFlow(5, fixedRate(r5), {&l}, 0);
+    solver.addFlow(6, fixedRate(r6), {&l}, 0);
+    solver.addFlow(7, fixedRate(r7), {&l}, 0);
+    solver.start(10 * period);
+    // Mid-window, so the new sum governs all of window 4.
+    eq.schedule(3 * period + period / 2, [&] {
+        solver.addFlow(2, fixedRate(r2), {&l}, 0);
+    });
+    eq.run();
+
+    const double before = ((0.0 + r5 * wf) + r6 * wf) + r7 * wf;
+    const double idOrder = (((0.0 + r2 * wf) + r5 * wf) + r6 * wf) +
+                           r7 * wf;
+    const double insertionOrder = before + r2 * wf;
+    ASSERT_NE(idOrder, insertionOrder);
+
+    double expect = arrivalsOver(0.0, before, period, 3);
+    expect = arrivalsOver(expect, idOrder, period, 7);
+    EXPECT_EQ(l.arrivedWireBytes(), expect);
+    EXPECT_EQ(solver.activeFlows(), 4u);
+    EXPECT_EQ(solver.rateCuts(), 0u);
+}
+
+TEST(FluidSolver, LinksOnDifferentPathsGetSeparateArrivalSums)
+{
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &a = solver.addLink("a", testEth(0, 0), 1460);
+    FluidLink &b = solver.addLink("b", testEth(0, 0), 1000);
+    const Tick period = solver.period();
+
+    solver.addFlow(1, fixedRate(1.0), {&a}, 0);
+    solver.addFlow(2, fixedRate(2.0), {&b}, 0);
+    solver.addFlow(3, fixedRate(4.0), {&a, &b}, 0);
+    solver.start(6 * period);
+    eq.run();
+
+    const double sumA = (0.0 + 1.0 * a.wireFactor()) +
+                        4.0 * a.wireFactor();
+    const double sumB = (0.0 + 2.0 * b.wireFactor()) +
+                        4.0 * b.wireFactor();
+    EXPECT_EQ(a.arrivedWireBytes(), arrivalsOver(0.0, sumA, period, 6));
+    EXPECT_EQ(b.arrivedWireBytes(), arrivalsOver(0.0, sumB, period, 6));
+}
+
+TEST(FluidSolver, RemoveAndReAddMidRunPinsLedgersAndCuts)
+{
+    // Three flows over two ECN-marking links, one of them a 10 Gbps
+    // bottleneck with a tail-drop cap. Flow 2 (on both links) is
+    // pulled out mid-run and put back later with its remaining bytes
+    // and rate state, the way a promote/demote pair does. The pinned
+    // values were recorded with the map-walking solver this one
+    // replaced; any change of visiting order, congestion sampling or
+    // arrival summation moves them.
+    EventQueue eq;
+    FluidSolver solver(eq, "fluid", 0);
+    FluidLink &core = solver.addLink("core", testEth(0, 32), 1460);
+    EthConfig slow = testEth(256, 16);
+    slow.gbps = 10.0;
+    FluidLink &edge = solver.addLink("edge", slow, 1460);
+
+    TransportConfig cfg;
+    solver.addFlow(1, cfg, {&core}, 3000000);
+    solver.addFlow(2, cfg, {&core, &edge}, 1500000);
+    solver.addFlow(3, cfg, {&edge}, 2000000);
+    solver.start(usToTicks(4000));
+
+    FluidFlow removed;
+    eq.schedule(usToTicks(600) + 1, [&] { removed = solver.removeFlow(2); });
+    eq.schedule(usToTicks(900) + 1, [&] {
+        EXPECT_EQ(solver.findFlow(2), nullptr);
+        std::uint64_t left = removed.totalBytes -
+                             std::uint64_t(removed.deliveredBytes);
+        solver.addFlow(2, cfg, {&core, &edge}, left, &removed.cc);
+    });
+    eq.run();
+
+    const FluidFlow *f1 = solver.findFlow(1);
+    const FluidFlow *f2 = solver.findFlow(2);
+    const FluidFlow *f3 = solver.findFlow(3);
+    ASSERT_TRUE(f1 && f2 && f3);
+    EXPECT_EQ(removed.deliveredBytes, 315867.12518837635);
+    EXPECT_EQ(f1->deliveredBytes, 3000000.0);
+    EXPECT_EQ(f2->deliveredBytes, 1136550.7777346666);
+    EXPECT_EQ(f3->deliveredBytes, 2000000.0);
+    EXPECT_EQ(f1->doneTick, 1320000000u);
+    EXPECT_FALSE(f2->done);
+    EXPECT_EQ(f3->doneTick, 3575000000u);
+    EXPECT_EQ(solver.rateCuts(), 65u);
+    EXPECT_EQ(solver.rounds(), 73u);
+    EXPECT_EQ(solver.completedFlows(), 2u);
+    EXPECT_EQ(solver.totalDeliveredBytes(), 6452417.9029230429);
+    EXPECT_EQ(edge.droppedWireBytes(), 393298.05479452043);
 }
 
 // -- Handoff conservation -----------------------------------------------

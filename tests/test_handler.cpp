@@ -372,20 +372,20 @@ TEST(HandlerStage, DispatchShedsExpiredDeadlines)
 namespace
 {
 
-/** Issue @p n back-to-back 64B reads of @p src, return completions. */
-std::vector<Tick>
-burst(EventQueue &eq, MemoryController &mc, MemSource src, int n,
+/**
+ * Issue done.size() back-to-back 64B reads of @p src; read i writes
+ * its completion tick into done[i], so @p done must outlive the run.
+ */
+void
+burst(MemoryController &mc, MemSource src, std::vector<Tick> &done,
       Addr base)
 {
-    std::vector<Tick> done(n, 0);
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < done.size(); ++i) {
         auto req = makeMemRequest(base + Addr(i) * 4096, 64, false,
-                                  src, [&done, i](Tick t) {
-                                      done[std::size_t(i)] = t;
-                                  });
+                                  src,
+                                  [&done, i](Tick t) { done[i] = t; });
         mc.access(req);
     }
-    return done;
 }
 
 double
@@ -407,8 +407,9 @@ TEST(MemoryController, HostPriorityFavoursHostUnderContention)
     DramGeometry g = NetDimmDevice::localGeometry();
     MemoryController mc(eq, "mc", g, cfg.memCtrl);
 
-    auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
-    auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
+    std::vector<Tick> host(32), hand(32);
+    burst(mc, MemSource::HostCpu, host, 0);
+    burst(mc, MemSource::Handler, hand, 1u << 20);
     eq.run();
     EXPECT_LT(meanT(host), meanT(hand));
 }
@@ -421,8 +422,9 @@ TEST(MemoryController, FairSitsBetweenPriorityExtremes)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry();
         MemoryController mc(eq, "mc", g, cfg.memCtrl);
-        auto host = burst(eq, mc, MemSource::HostCpu, 32, 0);
-        auto hand = burst(eq, mc, MemSource::Handler, 32, 1u << 20);
+        std::vector<Tick> host(32), hand(32);
+        burst(mc, MemSource::HostCpu, host, 0);
+        burst(mc, MemSource::Handler, hand, 1u << 20);
         eq.run();
         return meanT(hand) - meanT(host);
     };
@@ -440,10 +442,10 @@ TEST(MemoryController, StaticCapThrottlesHandlerClass)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry();
         MemoryController mc(eq, "mc", g, cfg.memCtrl);
-        auto host = burst(eq, mc, MemSource::HostCpu, 16, 0);
-        auto hand = burst(eq, mc, MemSource::Handler, 16, 1u << 20);
+        std::vector<Tick> host(16), hand(16);
+        burst(mc, MemSource::HostCpu, host, 0);
+        burst(mc, MemSource::Handler, hand, 1u << 20);
         eq.run();
-        (void)host;
         return meanT(hand);
     };
     // A tighter wall-clock budget defers handler beats further.
@@ -461,8 +463,9 @@ TEST(MemoryController, LegacyPathBitIdenticalWithoutHandlerTraffic)
         EventQueue eq;
         DramGeometry g = NetDimmDevice::localGeometry();
         MemoryController mc(eq, "mc", g, cfg.memCtrl);
-        auto a = burst(eq, mc, MemSource::HostCpu, 24, 0);
-        auto b = burst(eq, mc, MemSource::HostDma, 24, 1u << 21);
+        std::vector<Tick> a(24), b(24);
+        burst(mc, MemSource::HostCpu, a, 0);
+        burst(mc, MemSource::HostDma, b, 1u << 21);
         eq.run();
         a.insert(a.end(), b.begin(), b.end());
         return a;
