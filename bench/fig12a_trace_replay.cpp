@@ -117,7 +117,6 @@ replayReliableMeanLatencyUs(const std::vector<TraceRecord> &trace,
     ClosFabric fabric(eq, "fabric", cfg.eth);
     fabric.attach(0, tx.endpoint());
     fabric.attach(1, rx.endpoint());
-    fabric.setDefaultLocality(TrafficLocality::IntraCluster);
     tx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
     rx.setWire([&](const PacketPtr &pkt) { fabric.deliver(pkt); });
 

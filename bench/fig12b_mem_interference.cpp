@@ -38,7 +38,6 @@ probeLatencyNs(ClusterType cluster, NicKind kind, NfKind nf,
     ClosFabric fabric(eq, "fabric", cfg.eth);
     fabric.attach(0, gen.endpoint());
     fabric.attach(1, nut.endpoint());
-    fabric.setDefaultLocality(TrafficLocality::IntraCluster);
     gen.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
     nut.setWire([&](const PacketPtr &p) { fabric.deliver(p); });
 

@@ -22,7 +22,7 @@
  *  - >= 20x executed-event reduction packet -> hybrid;
  *  - installing the background hooks with an *idle* fluid model
  *    leaves the packet-level run byte-identical (digest compare) —
- *    the `--fidelity packet` bit-identity guarantee, in-bench;
+ *    the idle-hook identity check;
  *  - a promote/demote drill: flows start fluid, promote to packet
  *    mid-run, demote back, and the byte ledger closes exactly.
  *
@@ -33,10 +33,7 @@
  *
  * Output: human table on stdout plus BENCH_hybrid.json (`--out`).
  * `--baseline FILE` compares the event reduction against committed
- * bench/BENCH_simcore.json keys within `--tolerance`. `--fidelity
- * {packet,hybrid,fluid}` (shared sweep CLI) restricts the campaign
- * to one domain and prints its table without cross-mode gates; with
- * `--trace` that run also writes the bottleneck backlog to stderr.
+ * bench/BENCH_simcore.json keys within `--tolerance`.
  */
 
 #include <algorithm>
@@ -208,7 +205,6 @@ struct Dumbbell
     std::vector<std::unique_ptr<SenderEp>> senderEps;
     std::vector<std::unique_ptr<EthLink>> access;
     std::vector<std::unique_ptr<TransportFlow>> flows;
-    std::uint64_t probesInWindow = 0;
     /** Transport config of the auto-created bulk flows; stable
      *  storage so deferred flow-creation events capture `this`. */
     TransportConfig _fcfg{};
@@ -327,8 +323,6 @@ struct Dumbbell
             PacketPtr p = makePacket(eq, k.segBytes, probeId, sinkId);
             p->flowId = kProbeFlow;
             p->born = eq.curTick();
-            if (p->born >= k.warmup)
-                ++probesInWindow;
             probeAccess.send(&probeSrc, p);
             scheduleProbe(eq.curTick() + k.probeGap);
         });
@@ -339,61 +333,22 @@ struct Dumbbell
 struct RunOut
 {
     std::uint64_t events = 0;
-    double p50Ns = 0.0, p99Ns = 0.0;
-    std::uint64_t probesMeasured = 0, probesExpected = 0;
+    double p99Ns = 0.0;
+    std::uint64_t probesMeasured = 0;
     std::string digest;
-    double bulkDeliveredBytes = 0.0;
-    std::uint64_t packetFlows = 0, fluidFlows = 0;
-    std::uint64_t rateCuts = 0;
-    std::uint64_t ecnMarks = 0, dropsQueue = 0;
 };
 
 RunOut
-runScenario(const Knobs &k, FidelityMode mode, bool inert_bg = false,
-            bool trace = false)
+runScenario(const Knobs &k, FidelityMode mode, bool inert_bg = false)
 {
     Dumbbell d(k, mode, inert_bg);
-    if (trace) {
-        // Bottleneck backlog time series on stderr (CSV: tick,
-        // switch egress depth, fluid backlog frames) for eyeballing
-        // the two domains' congestion dynamics.
-        std::function<void(Tick)> sampler = [&d,
-                                             &sampler](Tick at) {
-            if (at >= d.k.horizon)
-                return;
-            d.eq.schedule(at, [&d, &sampler, at] {
-                std::fprintf(
-                    stderr, "%llu,%zu,%llu\n",
-                    (unsigned long long)at,
-                    d.sw.queueDepth(&d.bottleneck),
-                    (unsigned long long)(
-                        d.fluid ? d.fluid->backlogFramesAt(at) : 0));
-                sampler(at + usToTicks(25));
-            });
-        };
-        sampler(usToTicks(25));
-        d.eq.runUntil(k.horizon);
-    } else {
-        d.eq.runUntil(k.horizon);
-    }
+    d.eq.runUntil(k.horizon);
 
     RunOut o;
     o.events = d.eq.executedEvents();
-    o.p50Ns = ticksToNs(Tick(d.sink.probeHist.percentile(0.50)));
     o.p99Ns = ticksToNs(Tick(d.sink.probeHist.percentile(0.99)));
     o.probesMeasured = d.sink.probesMeasured;
-    o.probesExpected = d.probesInWindow;
     o.digest = d.sink.probeHist.digest();
-    o.packetFlows = d.mgr.packetFlows();
-    o.fluidFlows = d.mgr.fluidFlows();
-    o.ecnMarks = d.sw.ecnMarks();
-    o.dropsQueue = d.sw.dropsQueue();
-    o.rateCuts = d.solver.rateCuts();
-    o.bulkDeliveredBytes = d.solver.totalDeliveredBytes();
-    for (const auto &f : d.flows) {
-        o.bulkDeliveredBytes += double(f->deliveredBytes());
-        o.rateCuts += f->rateCuts();
-    }
     return o;
 }
 
@@ -529,15 +484,8 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const GateCli gate =
-        parseGateCli(argc, argv, "BENCH_hybrid.json",
-                     {"--trace", "--fidelity"});
+    const GateCli gate = parseGateCli(argc, argv, "BENCH_hybrid.json");
     const SweepCli &cli = gate.sweep;
-    // --trace is the one valueless allowlisted flag.
-    const bool traceFlag = !cli.rest.empty();
-    const bool fidelityGiven =
-        std::find(argv + 1, argv + argc, std::string("--fidelity")) !=
-        argv + argc;
 
     // Short mode trims the load grid, not the horizon: the witness
     // p99 integrates over ~5 congestion-oscillation cycles, and a
@@ -570,29 +518,6 @@ main(int argc, char **argv)
                 "one %.0f Gbps bottleneck ===\n",
                 cli.shortMode ? "short" : "full", base.nodes,
                 base.eth.gbps);
-
-    if (fidelityGiven) {
-        // Single-domain run: table only, no cross-mode gates.
-        std::printf("-- %s fidelity only --\n",
-                    fidelityModeName(cli.fidelity));
-        for (double load : loads) {
-            Knobs k = base;
-            k.load = load;
-            RunOut r = runScenario(k, cli.fidelity, false, traceFlag);
-            std::printf("load %.2fx: p50 %8.0f ns  p99 %8.0f ns  "
-                        "probes %llu/%llu  events %llu  cuts %llu  "
-                        "marks %llu  delivered %.3f MB\n",
-                        load, r.p50Ns, r.p99Ns,
-                        (unsigned long long)r.probesMeasured,
-                        (unsigned long long)r.probesExpected,
-                        (unsigned long long)r.events,
-                        (unsigned long long)r.rateCuts,
-                        (unsigned long long)r.ecnMarks,
-                        r.bulkDeliveredBytes / 1.0e6);
-            std::printf("  digest=%s\n", r.digest.c_str());
-        }
-        return 0;
-    }
 
     struct Row
     {
@@ -695,7 +620,7 @@ main(int argc, char **argv)
 
     // Inert-background byte identity: the same packet-level scenario
     // with the fluid hooks installed but zero fluid flows must be
-    // byte-identical (the `--fidelity packet` guarantee).
+    // byte-identical.
     {
         Knobs k = base;
         k.load = loads.front();

@@ -33,12 +33,24 @@
 #include <vector>
 
 #include "flow/FluidSolver.hh"
-#include "harness/SweepRunner.hh"
 #include "transport/Dcqcn.hh"
 #include "transport/TransportFlow.hh"
 
 namespace netdimm
 {
+
+/**
+ * How a FidelityManager assigns flows to domains: Packet runs every
+ * flow packet-level, Hybrid runs bulk flows fluid with packet-level
+ * witnesses and handoff at points of interest, Fluid runs every flow
+ * rate-modeled.
+ */
+enum class FidelityMode : std::uint8_t
+{
+    Packet,
+    Hybrid,
+    Fluid,
+};
 
 /** The simulation domain assigned to one flow. */
 enum class FlowFidelity : std::uint8_t
@@ -127,7 +139,6 @@ class FidelityManager
         h.bytesInFlight = std::min(inFlight, remaining);
         h.bytesUnsent = remaining - h.bytesInFlight;
         ++_promotions;
-        _bytesPromoted += remaining;
         return h;
     }
 
@@ -142,7 +153,6 @@ class FidelityManager
     {
         FlowHandoff h = flow.exportHandoff();
         ++_demotions;
-        _bytesDemoted += h.bytesRemaining();
         return solver.addFlow(flow.flowId(), flowConfig(flow),
                               std::move(path), h.bytesRemaining(),
                               &h.cc);
@@ -153,8 +163,6 @@ class FidelityManager
     std::uint64_t fluidFlows() const { return _fluidFlows; }
     std::uint64_t promotions() const { return _promotions; }
     std::uint64_t demotions() const { return _demotions; }
-    std::uint64_t bytesPromoted() const { return _bytesPromoted; }
-    std::uint64_t bytesDemoted() const { return _bytesDemoted; }
 
   private:
     FlowFidelity
@@ -188,8 +196,6 @@ class FidelityManager
     mutable std::uint64_t _fluidFlows = 0;
     std::uint64_t _promotions = 0;
     std::uint64_t _demotions = 0;
-    std::uint64_t _bytesPromoted = 0;
-    std::uint64_t _bytesDemoted = 0;
 };
 
 } // namespace netdimm

@@ -63,8 +63,6 @@ class FluidLink : public FluidBackground
     }
 
     const std::string &name() const { return _name; }
-    /** Wire bytes one reference frame occupies. */
-    std::uint32_t refWireFrameBytes() const { return _refWireFrame; }
     /** Wire bytes per payload byte at the reference frame size. */
     double wireFactor() const { return _wireFactor; }
     /** Tail-drop capacity in wire bytes (0 = unbounded). */

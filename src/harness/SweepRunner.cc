@@ -159,20 +159,6 @@ SweepRunner::drainWorkerPools()
     return out;
 }
 
-const char *
-fidelityModeName(FidelityMode mode)
-{
-    switch (mode) {
-      case FidelityMode::Packet:
-        return "packet";
-      case FidelityMode::Hybrid:
-        return "hybrid";
-      case FidelityMode::Fluid:
-        return "fluid";
-    }
-    return "?";
-}
-
 bool
 tryParseSweepCli(const std::vector<std::string> &args,
                  const std::vector<std::string> &extra_flags,
@@ -221,25 +207,6 @@ tryParseSweepCli(const std::vector<std::string> &args,
             cli.shards = unsigned(n);
             continue;
         }
-        if (arg == "--fidelity" && allowed(arg)) {
-            if (a + 1 >= args.size()) {
-                error = "--fidelity requires a value";
-                return false;
-            }
-            const std::string &v = args[++a];
-            if (v == "packet") {
-                cli.fidelity = FidelityMode::Packet;
-            } else if (v == "hybrid") {
-                cli.fidelity = FidelityMode::Hybrid;
-            } else if (v == "fluid") {
-                cli.fidelity = FidelityMode::Fluid;
-            } else {
-                error = "--fidelity must be one of packet, hybrid, "
-                        "fluid (got '" + v + "')";
-                return false;
-            }
-            continue;
-        }
         if (!allowed(arg)) {
             error = "unknown argument '" + arg + "'";
             return false;
@@ -275,11 +242,7 @@ exitWithUsage(int argc, char **argv, const std::string &error,
     usage += argc > 0 ? argv[0] : "bench";
     usage += " [--short] [--jobs N]";
     for (const std::string &f : extra_flags)
-        usage += " [" +
-                 (f == "--shards"     ? f + " N"
-                  : f == "--fidelity" ? f + " packet|hybrid|fluid"
-                                      : f) +
-                 "]";
+        usage += " [" + (f == "--shards" ? f + " N" : f) + "]";
     std::fprintf(stderr, "%s: %s\n%s\n", argc > 0 ? argv[0] : "bench",
                  error.c_str(), usage.c_str());
     std::exit(2);

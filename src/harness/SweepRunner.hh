@@ -172,32 +172,14 @@ class SweepRunner
 };
 
 /**
- * Simulation fidelity selected on the command line (`--fidelity`).
- * Packet runs everything packet-level (the default: all goldens are
- * produced in this mode and stay byte-identical); Hybrid runs bulk
- * flows fluid with packet-level witnesses and handoff at points of
- * interest (DESIGN.md §17); Fluid runs every flow rate-modeled.
- */
-enum class FidelityMode : std::uint8_t
-{
-    Packet,
-    Hybrid,
-    Fluid,
-};
-
-/** Canonical CLI spelling of @p mode ("packet", "hybrid", "fluid"). */
-const char *fidelityModeName(FidelityMode mode);
-
-/**
  * Shared command-line surface of the sweep benches: `--jobs N`
  * (default: hardware concurrency) plus the conventional `--short`.
  * Bench-specific flags must be declared in the allowlist passed to
- * the parser. `--shards N` and `--fidelity MODE` are parsed into
- * their fields when listed; any other listed flag is valueless and
- * lands in `rest` for the caller. Anything else, an unlisted
- * `--shards` or `--fidelity` included, is a hard parse error — typos
- * and flags a bench would ignore fail loudly instead of silently
- * running the wrong experiment.
+ * the parser. `--shards N` is parsed into its field when listed; any
+ * other listed flag is valueless and lands in `rest` for the caller.
+ * Anything else, an unlisted `--shards` included, is a hard parse
+ * error — typos and flags a bench would ignore fail loudly instead
+ * of silently running the wrong experiment.
  */
 struct SweepCli
 {
@@ -205,10 +187,6 @@ struct SweepCli
     /** `--shards N`, for a bench that lists it; 0 = flag absent (the
      *  bench picks its own sweep). Same reject semantics as `--jobs`. */
     unsigned shards = 0;
-    /** `--fidelity {packet,hybrid,fluid}`, for a bench that lists it;
-     *  packet when absent. Same reject semantics as `--jobs`
-     *  (missing/unknown value = error). */
-    FidelityMode fidelity = FidelityMode::Packet;
     bool shortMode = false;
     /** Allowlisted caller-handled flags, in argv order. */
     std::vector<std::string> rest;

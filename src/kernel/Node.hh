@@ -132,7 +132,6 @@ class Node : public SimObject
     MemorySystem &mem() { return *_mem; }
     Llc &llc() { return *_llc; }
     CopyEngine &copyEngine() { return *_copy; }
-    PageAllocator &pageAlloc() { return *_alloc; }
     Driver &driver() { return *_driver; }
     /** Null unless cfg.nic == NetDimm. */
     NetDimmDevice *netdimm() { return _netdimm.get(); }

@@ -180,7 +180,6 @@ class HostAddressMap
         return std::uint32_t(_regions.size());
     }
 
-    std::uint64_t conventionalBytes() const { return _convBytes; }
     InterleaveMode mode() const { return _mode; }
 
   private:

@@ -121,8 +121,6 @@ class MemoryController : public SimObject, public MemTarget
     std::uint64_t beatsServiced() const { return _beats.value(); }
     /** Beats issued for the handler requestor class. */
     std::uint64_t handlerBeats() const { return _handlerBeats.value(); }
-    /** Data-bus ticks consumed by handler-class beats. */
-    Tick handlerBusTicks() const { return _handlerBusTicks; }
     /** Handler share of all bus occupancy so far, in [0, 1]. */
     double
     handlerBusFraction() const

@@ -4,9 +4,9 @@
  *
  * Both the store-and-forward Switch (egress = EthLink) and the
  * analytic ClosFabric boundary router (egress = NetEndpoint) keep a
- * destination-node table with an optional default route and count
- * frames that match nothing as dropsNoRoute. RouteTable owns that
- * logic once so the two cannot drift.
+ * destination-node table and count frames that match nothing as
+ * dropsNoRoute. RouteTable owns that logic once so the two cannot
+ * drift.
  *
  * The ECMP flow hash also lives here: a pure function of the packet's
  * (src, dst, flow) fields with no RNG draw, so per-packet multipath
@@ -43,9 +43,9 @@ ecmpFlowHash(std::uint32_t src, std::uint32_t dst, std::uint64_t flow)
 }
 
 /**
- * Destination-node route table: node id -> egress, with an optional
- * default egress and a dropsNoRoute counter the owner increments via
- * noteNoRoute() when a resolve() miss makes it drop the frame.
+ * Destination-node route table: node id -> egress, with a
+ * dropsNoRoute counter the owner increments via noteNoRoute() when a
+ * resolve() miss makes it drop the frame.
  */
 template <typename Egress>
 class RouteTable
@@ -57,21 +57,12 @@ class RouteTable
         _routes[node_id] = std::move(egress);
     }
 
-    void
-    setDefault(Egress egress)
-    {
-        _default = std::move(egress);
-        _hasDefault = true;
-    }
-
-    /** @return the egress for @p node_id (or the default), or null. */
+    /** @return the egress for @p node_id, or null. */
     Egress *
     resolve(std::uint32_t node_id)
     {
         auto it = _routes.find(node_id);
-        if (it != _routes.end())
-            return &it->second;
-        return _hasDefault ? &_default : nullptr;
+        return it != _routes.end() ? &it->second : nullptr;
     }
 
     /** Count one frame dropped for lack of any route. */
@@ -82,7 +73,7 @@ class RouteTable
         return _dropsNoRoute.value();
     }
 
-    /** Installed explicit routes (excluding the default). */
+    /** Installed routes. */
     std::size_t size() const { return _routes.size(); }
 
     auto begin() { return _routes.begin(); }
@@ -90,14 +81,8 @@ class RouteTable
     auto begin() const { return _routes.begin(); }
     auto end() const { return _routes.end(); }
 
-    bool hasDefault() const { return _hasDefault; }
-    Egress &defaultEgress() { return _default; }
-    const Egress &defaultEgress() const { return _default; }
-
   private:
     std::map<std::uint32_t, Egress> _routes;
-    Egress _default{};
-    bool _hasDefault = false;
     stats::Scalar _dropsNoRoute;
 };
 

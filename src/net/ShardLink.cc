@@ -1,8 +1,6 @@
 #include "net/ShardLink.hh"
 
-#include <algorithm>
-
-#include "net/Switch.hh"
+#include <memory>
 
 namespace netdimm
 {
@@ -34,18 +32,6 @@ ethLinkLookahead(const EthConfig &cfg)
 {
     std::uint32_t min_frame = cfg.minFrameBytes + cfg.framingBytes;
     return serializationTicks(min_frame, cfg.gbps) + cfg.propagation +
-           cfg.macLatency;
-}
-
-Tick
-closFabricLookahead(const EthConfig &cfg)
-{
-    std::uint32_t min_frame = cfg.minFrameBytes + cfg.framingBytes;
-    // One IntraRack hop is the cheapest path through the fabric
-    // (ClosFabric::pathDelay with hops=1 and 25 ns propagation).
-    return serializationTicks(min_frame, cfg.gbps) +
-           cfg.switchLatency + localityPropagation(
-                                   TrafficLocality::IntraRack) +
            cfg.macLatency;
 }
 

@@ -4,9 +4,9 @@
  * (sim/ParallelSim.hh, DESIGN.md §16).
  *
  * A PacketChannel is both halves of one inter-shard wire: the
- * producing shard's CrossShardSink (EthLink::connectRemote /
- * ClosFabric::attachRemote push into it at send time) and the
- * consuming shard's ShardIngress (the driver pumps it each quantum).
+ * producing shard's CrossShardSink (an EthLink::connectRemote
+ * half-link pushes into it at send time) and the consuming shard's
+ * ShardIngress (the driver pumps it each quantum).
  * Entries are ShardFrames — a full Packet BY VALUE plus its send and
  * arrival ticks — so the sender's pooled PacketPtr never crosses the
  * thread boundary; the consumer materializes a fresh pooled packet on
@@ -14,9 +14,9 @@
  * DESIGN.md §12.
  *
  * The pump's completeness rule keys on SEND ticks, which are monotone
- * per channel by construction (a shard's clock never goes backwards),
- * not on arrival ticks, which are not monotone through a ClosFabric
- * (the delay varies with frame size and locality class).
+ * per channel by construction (a shard's clock never goes backwards):
+ * once the producer has finished a quantum, every frame it sent
+ * before the quantum's end is in the channel.
  */
 
 #ifndef NETDIMM_NET_SHARDLINK_HH
@@ -43,8 +43,8 @@ struct ShardFrame
  * SPSC packet conduit between exactly two shards. Create one per
  * cross-shard link direction via ShardHost::channel<PacketChannel>(key)
  * — both shards resolve the same key to the same object; the producer
- * side hands it to a half-link or fabric as a CrossShardSink, the
- * consumer side calls setTarget() and registers it as ingress.
+ * side hands it to a half-link as a CrossShardSink, the consumer side
+ * calls setTarget() and registers it as ingress.
  */
 class PacketChannel : public CrossShardSink, public ShardIngress
 {
@@ -69,7 +69,6 @@ class PacketChannel : public CrossShardSink, public ShardIngress
     // -- counters (any thread) -------------------------------------------
 
     std::uint64_t framesPushed() const { return _q.pushes(); }
-    std::uint64_t framesPumped() const { return _q.pops(); }
     std::uint64_t chunkAllocs() const { return _q.chunkAllocs(); }
 
   private:
@@ -86,13 +85,6 @@ class PacketChannel : public CrossShardSink, public ShardIngress
  * edges are such links.
  */
 Tick ethLinkLookahead(const EthConfig &cfg);
-
-/**
- * The conservative lookahead of a sharded ClosFabric with config
- * @p cfg: the smallest pathDelay over any locality class and frame
- * size (one IntraRack hop at minimum frame size).
- */
-Tick closFabricLookahead(const EthConfig &cfg);
 
 } // namespace netdimm
 

@@ -47,13 +47,6 @@ Switch::addEcmpRoute(std::uint32_t node_id,
 }
 
 void
-Switch::setDefaultRoute(EthLink *out)
-{
-    ND_ASSERT(out);
-    _routes.setDefault(makeGroup({out}));
-}
-
-void
 Switch::watch(EthLink *link)
 {
     if (!_watched.insert(link).second)
@@ -65,15 +58,10 @@ Switch::watch(EthLink *link)
 void
 Switch::onLinkState(EthLink &link, bool up)
 {
-    auto update = [&](EcmpGroup &g) {
+    for (auto &[node, g] : _routes)
         for (std::size_t i = 0; i < g.members.size(); ++i)
             if (g.members[i] == &link)
                 g.live[i] = up;
-    };
-    for (auto &[node, group] : _routes)
-        update(group);
-    if (_routes.hasDefault())
-        update(_routes.defaultEgress());
 
     if (!up) {
         // Frames already queued toward the dead link can never leave;
@@ -88,15 +76,6 @@ Switch::onLinkState(EthLink &link, bool up)
             it->second.queue.clear();
         }
     }
-}
-
-std::size_t
-Switch::queueDepth(const EthLink *out) const
-{
-    auto it = _ports.find(const_cast<EthLink *>(out));
-    if (it == _ports.end())
-        return 0;
-    return it->second.queue.size() + (it->second.draining ? 1 : 0);
 }
 
 void
@@ -115,17 +94,13 @@ Switch::degradedGroups() const
     for (const auto &[node, group] : _routes)
         if (group.liveCount() == 0)
             ++n;
-    if (_routes.hasDefault() &&
-        _routes.defaultEgress().liveCount() == 0)
-        ++n;
     return n;
 }
 
 std::uint32_t
 Switch::totalGroups() const
 {
-    return std::uint32_t(_routes.size()) +
-           (_routes.hasDefault() ? 1 : 0);
+    return std::uint32_t(_routes.size());
 }
 
 std::size_t
@@ -284,14 +259,7 @@ void
 ClosFabric::attach(std::uint32_t node_id, NetEndpoint *ep)
 {
     ND_ASSERT(ep);
-    _routes.add(node_id, Egress{ep, nullptr});
-}
-
-void
-ClosFabric::attachRemote(std::uint32_t node_id, CrossShardSink *sink)
-{
-    ND_ASSERT(sink);
-    _routes.add(node_id, Egress{nullptr, sink});
+    _routes.add(node_id, ep);
 }
 
 Tick
@@ -311,8 +279,8 @@ ClosFabric::pathDelay(std::uint32_t bytes, TrafficLocality loc) const
 void
 ClosFabric::forward(const PacketPtr &pkt, TrafficLocality loc)
 {
-    Egress *eg = _routes.resolve(pkt->dstNode);
-    if (!eg) {
+    NetEndpoint **route = _routes.resolve(pkt->dstNode);
+    if (!route) {
         // A frame to a node the fabric does not know is the network
         // equivalent of a misdelivered packet: real fabrics drop it
         // (and a reliable transport retransmits or gives up); only a
@@ -328,22 +296,14 @@ ClosFabric::forward(const PacketPtr &pkt, TrafficLocality loc)
     Tick delay = pathDelay(pkt->bytes, loc);
     pkt->lat.add(LatComp::Wire, delay);
     _frames.inc();
-    if (eg->sink) {
-        // Cross-shard destination: export the frame at SEND time with
-        // its precomputed arrival tick, so the far shard's pump sees a
-        // send-tick-monotone stream (arrival ticks are not monotone —
-        // the delay varies with frame size and locality).
-        eg->sink->push(curTick(), curTick() + delay, *pkt);
-        return;
-    }
-    NetEndpoint *dst = eg->ep;
+    NetEndpoint *dst = *route;
     scheduleRel(delay, [dst, pkt] { dst->deliver(pkt); });
 }
 
 void
 ClosFabric::deliver(const PacketPtr &pkt)
 {
-    forward(pkt, _defaultLoc);
+    forward(pkt, TrafficLocality::IntraCluster);
 }
 
 } // namespace netdimm

@@ -70,15 +70,12 @@ class Switch : public SimObject, public NetEndpoint
     void addEcmpRoute(std::uint32_t node_id,
                       const std::vector<EthLink *> &members);
 
-    /** Frames with unknown destinations leave through @p out. */
-    void setDefaultRoute(EthLink *out);
-
     void deliver(const PacketPtr &pkt) override;
 
     std::uint64_t framesForwarded() const { return _frames.value(); }
     /** Frames tail-dropped at a full egress queue. */
     std::uint64_t dropsQueue() const { return _dropsQueue.value(); }
-    /** Frames dropped for lack of a route (and no default route). */
+    /** Frames dropped for lack of a route. */
     std::uint64_t dropsNoRoute() const
     {
         return _routes.dropsNoRoute();
@@ -94,8 +91,6 @@ class Switch : public SimObject, public NetEndpoint
     std::uint64_t ecnMarks() const { return _ecnMarks.value(); }
     /** Deepest egress queue observed (frames), across all ports. */
     std::uint64_t maxQueueDepth() const { return _maxDepth; }
-    /** Egress depth (frames) currently queued toward @p out. */
-    std::size_t queueDepth(const EthLink *out) const;
 
     /**
      * Hybrid fidelity (DESIGN.md §17): frames fluid flows have
@@ -108,7 +103,7 @@ class Switch : public SimObject, public NetEndpoint
 
     /** ECMP groups whose members are currently all down. */
     std::uint32_t degradedGroups() const;
-    /** Total ECMP groups installed (incl. the default route). */
+    /** Total ECMP groups installed. */
     std::uint32_t totalGroups() const;
     /** True while any group has no live member. */
     bool degraded() const { return degradedGroups() > 0; }
@@ -204,25 +199,13 @@ class ClosFabric : public SimObject, public NetEndpoint
     void attach(std::uint32_t node_id, NetEndpoint *ep);
 
     /**
-     * Register @p node_id as living on another shard: frames for it
-     * leave through @p sink at send time, stamped with the locally
-     * computed arrival tick (the fabric delay is a pure function of
-     * frame size and locality, so sharding the fabric changes no
-     * timing). Not owned.
-     */
-    void attachRemote(std::uint32_t node_id, CrossShardSink *sink);
-
-    /**
      * Fabric traversal for @p pkt whose locality is @p loc; delivery
      * is scheduled at the destination endpoint.
      */
     void forward(const PacketPtr &pkt, TrafficLocality loc);
 
-    /** NetEndpoint entry: forwards using the packet's fabricHops. */
+    /** NetEndpoint entry: forwards at IntraCluster locality. */
     void deliver(const PacketPtr &pkt) override;
-
-    /** Per-packet locality override used by deliver(). */
-    void setDefaultLocality(TrafficLocality loc) { _defaultLoc = loc; }
 
     /** One-way fabric delay for a payload of @p bytes at @p loc. */
     Tick pathDelay(std::uint32_t bytes, TrafficLocality loc) const;
@@ -234,16 +217,8 @@ class ClosFabric : public SimObject, public NetEndpoint
     }
 
   private:
-    /** One attached destination: local endpoint or cross-shard sink. */
-    struct Egress
-    {
-        NetEndpoint *ep = nullptr;
-        CrossShardSink *sink = nullptr;
-    };
-
     const EthConfig _cfg;
-    RouteTable<Egress> _routes;
-    TrafficLocality _defaultLoc = TrafficLocality::IntraCluster;
+    RouteTable<NetEndpoint *> _routes;
     stats::Scalar _frames;
 };
 

@@ -278,7 +278,6 @@ PodFabricShard::buildLinks(ShardHost &host)
                 auto in = host.channel<PacketChannel>(chanKey(l, s, 1));
                 in->setTarget(_leafSw[l]);
                 host.addIngress(chanKey(l, s, 1), in.get());
-                _imports.push_back(std::move(in));
             } else if (spine_local) {
                 auto ch = host.channel<PacketChannel>(chanKey(l, s, 1));
                 auto link = std::make_unique<EthLink>(
@@ -294,7 +293,6 @@ PodFabricShard::buildLinks(ShardHost &host)
                 auto in = host.channel<PacketChannel>(chanKey(l, s, 0));
                 in->setTarget(_spineSw[s]);
                 host.addIngress(chanKey(l, s, 0), in.get());
-                _imports.push_back(std::move(in));
             }
         }
     }
@@ -377,15 +375,6 @@ PodFabricShard::framesExported() const
     std::uint64_t total = 0;
     for (const auto &ch : _exports)
         total += ch->framesPushed();
-    return total;
-}
-
-std::uint64_t
-PodFabricShard::framesImported() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ch : _imports)
-        total += ch->framesPumped();
     return total;
 }
 

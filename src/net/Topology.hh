@@ -274,8 +274,6 @@ class PodFabricShard : public SimObject
     std::uint64_t fabricFrames() const;
     /** Frames this shard pushed into cross-shard channels. */
     std::uint64_t framesExported() const;
-    /** Frames this shard pumped out of cross-shard channels. */
-    std::uint64_t framesImported() const;
 
   private:
     const PodFabricSpec _spec;
@@ -293,9 +291,8 @@ class PodFabricShard : public SimObject
      *  the transmitter lives elsewhere. */
     std::vector<EthLink *> _up;
     std::vector<EthLink *> _down;
-    /** Channels this shard produces into / consumes from. */
+    /** Channels this shard produces into. */
     std::vector<std::shared_ptr<PacketChannel>> _exports;
-    std::vector<std::shared_ptr<PacketChannel>> _imports;
 
     /** Channel key of the (L,s) uplink (dir 0) / downlink (dir 1). */
     std::uint64_t

@@ -136,8 +136,6 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
      * cold-boot reset() clears the condition.
      */
     void powerFail();
-    /** True between powerFail() and the cold-boot reset(). */
-    bool powerDead() const { return _powerDead; }
 
     std::uint64_t hangs() const { return _hangs.value(); }
     std::uint64_t resets() const { return _resets.value(); }

@@ -137,8 +137,6 @@ class NicDevice : public SimObject, public NetEndpoint
      * the node-level crash domain owns the ledger entry.
      */
     void powerFail() { _powerDead = true; }
-    /** True between powerFail() and the cold-boot reset(). */
-    bool powerDead() const { return _powerDead; }
 
     std::uint64_t hangs() const { return _hangs.value(); }
     std::uint64_t resets() const { return _resets.value(); }

@@ -35,15 +35,6 @@ FaultDomain::FaultDomain(std::string name, std::uint64_t master_seed)
       _rng(mix(master_seed ^ hashName(_name)), hashName(_name))
 {}
 
-void
-FaultDomain::addStats(stats::StatGroup &g) const
-{
-    g.add(_name + ".decisions", double(_decisions.value()));
-    g.add(_name + ".injected", double(_injected.value()));
-    g.add(_name + ".recovered", double(_recovered.value()));
-    g.add(_name + ".unrecovered", double(_unrecovered.value()));
-}
-
 FaultDomain &
 FaultRegistry::domain(const std::string &name)
 {

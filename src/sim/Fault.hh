@@ -84,9 +84,6 @@ class FaultDomain
         return injected() == recovered() && unrecovered() == 0;
     }
 
-    /** Register this domain's counters with @p g for reporting. */
-    void addStats(stats::StatGroup &g) const;
-
   private:
     bool
     classify(bool hit)

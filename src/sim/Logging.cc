@@ -9,7 +9,7 @@ namespace netdimm
 namespace
 {
 bool quietFlag = false;
-bool debugFlag = std::getenv("NETDIMM_DEBUG") != nullptr;
+const bool debugFlag = std::getenv("NETDIMM_DEBUG") != nullptr;
 
 void
 vreport(const char *tag, const char *fmt, std::va_list ap)
@@ -24,24 +24,6 @@ void
 setQuiet(bool quiet)
 {
     quietFlag = quiet;
-}
-
-bool
-isQuiet()
-{
-    return quietFlag;
-}
-
-void
-setDebug(bool debug)
-{
-    debugFlag = debug;
-}
-
-bool
-isDebug()
-{
-    return debugFlag;
 }
 
 void
@@ -83,17 +65,6 @@ warn(const char *fmt, ...)
     std::va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
     va_end(ap);
 }
 

@@ -6,7 +6,6 @@
  * panic()  - an internal invariant was violated (simulator bug); aborts.
  * fatal()  - the user asked for something impossible (bad config); exits.
  * warn()   - functionality is approximated; simulation continues.
- * inform() - status message; no connotation of misbehaviour.
  */
 
 #ifndef NETDIMM_SIM_LOGGING_HH
@@ -29,27 +28,15 @@ namespace netdimm
 /** Print a formatted warning to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a formatted status message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /**
- * Print a formatted debug message to stderr. Off by default; enable
- * with setDebug(true) or the NETDIMM_DEBUG environment variable.
+ * Print a formatted debug message to stderr. Off unless the
+ * NETDIMM_DEBUG environment variable is set.
  */
 void debugLog(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Globally silence warn()/inform() (benches use this). */
+/** Globally silence warn() (benches use this). */
 void setQuiet(bool quiet);
-
-/** @return true if warn()/inform() are silenced. */
-bool isQuiet();
-
-/** Globally enable debugLog() output. */
-void setDebug(bool debug);
-
-/** @return true if debugLog() output is enabled. */
-bool isDebug();
 
 } // namespace netdimm
 

@@ -21,18 +21,4 @@ nicKindName(NicKind kind)
     return "?";
 }
 
-const char *
-arbPolicyName(MemArbPolicy p)
-{
-    switch (p) {
-      case MemArbPolicy::HostPriority:
-        return "host-pri";
-      case MemArbPolicy::Fair:
-        return "fair";
-      case MemArbPolicy::StaticCap:
-        return "cap";
-    }
-    return "?";
-}
-
 } // namespace netdimm

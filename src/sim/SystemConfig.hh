@@ -153,9 +153,6 @@ enum class MemArbPolicy : std::uint8_t
     StaticCap,
 };
 
-/** @return a short display name for campaign tables. */
-const char *arbPolicyName(MemArbPolicy p);
-
 /** Memory controller queueing model. */
 struct MemCtrlConfig
 {

@@ -34,8 +34,6 @@ constexpr Tick tickPerMs = 1000 * tickPerUs;
 /** One second expressed in ticks. */
 constexpr Tick tickPerSec = 1000 * tickPerMs;
 
-/** Convert picoseconds to ticks. */
-constexpr Tick psToTicks(double ps) { return Tick(ps * tickPerPs); }
 /** Convert nanoseconds to ticks. */
 constexpr Tick nsToTicks(double ns) { return Tick(ns * tickPerNs); }
 /** Convert microseconds to ticks. */

@@ -44,7 +44,6 @@ class FaultInjector : public LinkFaultHook
     Verdict
     judge(const PacketPtr &) override
     {
-        _judged.inc();
         // One uniform draw per frame keeps the stream consumption
         // independent of the configured probabilities.
         double u = _domain->uniform();
@@ -64,7 +63,6 @@ class FaultInjector : public LinkFaultHook
     /** The domain decisions roll against (never null). */
     FaultDomain *domain() { return _domain; }
 
-    std::uint64_t framesJudged() const { return _judged.value(); }
     std::uint64_t framesDropped() const { return _drops.value(); }
     std::uint64_t framesCorrupted() const
     {
@@ -75,7 +73,7 @@ class FaultInjector : public LinkFaultHook
     FaultDomain *_domain;
     double _dropProb;
     double _corruptProb;
-    stats::Scalar _judged, _drops, _corruptions;
+    stats::Scalar _drops, _corruptions;
 };
 
 } // namespace netdimm

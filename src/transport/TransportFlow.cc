@@ -135,7 +135,6 @@ TransportFlow::onSenderReceive(const PacketPtr &ack)
         // Counting it as a duplicate would trigger a spurious
         // go-back-N for every reroute and, under sustained reorder,
         // livelock the window; it carries no new information, drop it.
-        _staleAcks.inc();
     } else if (_base < _highWater && _base >= _recover) {
         // Duplicate cumulative ACK (ackSeq == _base): the receiver is
         // still waiting for _base, so something in the window was

@@ -143,8 +143,6 @@ class TransportFlow : public SimObject
     std::uint64_t ecnEchoes() const { return _ecnEchoes.value(); }
     std::uint64_t rateCuts() const { return _rateCuts.value(); }
     std::uint64_t outOfOrderDrops() const { return _oooDrops.value(); }
-    /** Reordered (stale) cumulative ACKs ignored by the sender. */
-    std::uint64_t staleAcks() const { return _staleAcks.value(); }
     double currentRateGbps() const { return _cc.rateGbps; }
 
   private:
@@ -192,7 +190,7 @@ class TransportFlow : public SimObject
     std::uint64_t _expected = 0; ///< next in-order seq awaited
 
     stats::Scalar _delivered, _segsRx, _retx, _timeouts, _fastRetx,
-        _ecnEchoes, _rateCuts, _oooDrops, _acksRx, _staleAcks;
+        _ecnEchoes, _rateCuts, _oooDrops, _acksRx;
 
     void txLoop();
     void kickTx();

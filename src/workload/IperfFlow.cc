@@ -65,39 +65,10 @@ IperfFlow::enableReliable(const TransportConfig &cfg)
 }
 
 void
-IperfFlow::enableFluid(FluidSolver &solver,
-                       std::vector<FluidLink *> path,
-                       const TransportConfig &cfg,
-                       std::uint64_t total_bytes)
-{
-    ND_ASSERT(!_running && _flows.empty() && !_solver);
-    ND_ASSERT(!path.empty());
-    _solver = &solver;
-    _fluidPath = std::move(path);
-    _fluidCfg = cfg;
-    _fluidCfg.segmentBytes = _segBytes;
-    _fluidTotalBytes = total_bytes;
-}
-
-void
 IperfFlow::start()
 {
     _running = true;
     _startTick = curTick();
-    if (_solver) {
-        // Fluid mode: the streams live entirely inside the solver
-        // ledger; the node pair only lends its ids to the flow keys
-        // so packet- and fluid-mode runs of the same topology use
-        // the same id scheme.
-        for (std::uint32_t p = 0; p < _parallel; ++p) {
-            std::uint64_t id =
-                (std::uint64_t(_sender.id()) << 32) | (1 + p);
-            _solver->addFlow(id, _fluidCfg, _fluidPath,
-                             _fluidTotalBytes);
-            _fluidIds.push_back(id);
-        }
-        return;
-    }
     if (!_flows.empty()) {
         std::uint32_t per_flow =
             std::max(1u, _window / std::uint32_t(_flows.size()));
@@ -162,18 +133,6 @@ IperfFlow::sendSegment()
     PacketPtr pkt =
         _sender.makeTxPacket(_segBytes, _receiver.id(), flow);
     _sender.sendPacket(pkt);
-}
-
-std::uint64_t
-IperfFlow::deliveredBytes() const
-{
-    if (!_solver)
-        return _bytes.value();
-    double sum = 0.0;
-    for (std::uint64_t id : _fluidIds)
-        if (const FluidFlow *f = _solver->findFlow(id))
-            sum += f->deliveredBytes;
-    return std::uint64_t(sum);
 }
 
 double

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "flow/FluidSolver.hh"
 #include "kernel/Node.hh"
 #include "sim/SimObject.hh"
 #include "sim/Stats.hh"
@@ -51,28 +50,12 @@ class IperfFlow : public SimObject
      */
     void enableReliable(const TransportConfig &cfg);
 
-    /**
-     * Run the flow in the FLUID domain instead (hybrid fidelity,
-     * DESIGN.md §17): the parallel streams become rate-modeled
-     * FluidFlows on @p path inside @p solver — no packet events at
-     * all — driven by the same DCQCN control law as reliable mode.
-     * @p total_bytes is the per-stream volume (0 = open-ended).
-     * Must be called before start(); mutually exclusive with
-     * enableReliable().
-     */
-    void enableFluid(FluidSolver &solver,
-                     std::vector<FluidLink *> path,
-                     const TransportConfig &cfg,
-                     std::uint64_t total_bytes);
-
     void start();
     void stop() { _running = false; }
 
     bool reliable() const { return !_flows.empty(); }
-    bool fluid() const { return _solver != nullptr; }
 
-    /** Delivered payload bytes (fluid mode: solver ledger sum). */
-    std::uint64_t deliveredBytes() const;
+    std::uint64_t deliveredBytes() const { return _bytes.value(); }
     std::uint64_t deliveredSegments() const { return _segs.value(); }
 
     /** Total retransmitted segments (reliable mode only). */
@@ -105,13 +88,6 @@ class IperfFlow : public SimObject
     /** Reliable-mode plumbing; empty in raw mode. */
     std::unique_ptr<TransportHost> _txHost, _rxHost;
     std::vector<std::unique_ptr<TransportFlow>> _flows;
-
-    /** Fluid-mode plumbing; null unless enableFluid() was called. */
-    FluidSolver *_solver = nullptr;
-    std::vector<FluidLink *> _fluidPath;
-    TransportConfig _fluidCfg{};
-    std::uint64_t _fluidTotalBytes = 0;
-    std::vector<std::uint64_t> _fluidIds;
 
     stats::Scalar _bytes, _segs;
     stats::Average _latencyUs;

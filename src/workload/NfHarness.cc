@@ -23,19 +23,6 @@ NfHarness::NfHarness(EventQueue &eq, std::string name, Node &node,
 }
 
 void
-NfHarness::replenish()
-{
-    if (_node.netdimm()) {
-        bool fast = false;
-        _node.netdimm()->postRxBuffer(
-            _node.allocCache()->takeAny(fast));
-    } else {
-        _node.nic()->postRxBuffer(
-            _node.pageAlloc().allocPages(MemZone::Normal, 1));
-    }
-}
-
-void
 NfHarness::onRxVisible(const PacketPtr &pkt, Tick visible)
 {
     _processed.inc();

@@ -58,7 +58,6 @@ class NfHarness : public SimObject
 
     void onRxVisible(const PacketPtr &pkt, Tick visible);
     void forward(const PacketPtr &pkt, Tick t0);
-    void replenish();
 };
 
 } // namespace netdimm

@@ -36,20 +36,6 @@ placementName(ServingPlacement p)
     return "?";
 }
 
-const char *
-shedPolicyName(ShedPolicy s)
-{
-    switch (s) {
-    case ShedPolicy::None:
-        return "none";
-    case ShedPolicy::Tail:
-        return "tail";
-    case ShedPolicy::GetsFirst:
-        return "gets-first";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -66,8 +66,6 @@ enum class ShedPolicy : std::uint8_t
     GetsFirst ///< bounded queue, evict a queued GET before a PUT
 };
 
-const char *shedPolicyName(ShedPolicy s);
-
 /**
  * Replicated serving tier (DESIGN.md §15): N serving nodes behind a
  * consistent-hash shard map with R-way replication, a whole-node

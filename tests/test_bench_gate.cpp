@@ -25,13 +25,21 @@ using namespace netdimm;
 namespace
 {
 
-/** A baseline JSON in the test temp dir, removed on destruction. */
+/**
+ * A baseline JSON in the test temp dir, removed on destruction. ctest
+ * runs each test in its own process, in parallel, so the file is
+ * named after the running test.
+ */
 struct TempBaseline
 {
     std::string path;
 
     explicit TempBaseline(const std::string &text)
-        : path(::testing::TempDir() + "bench_gate_baseline.json")
+        : path(::testing::TempDir() + "bench_gate_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".json")
     {
         std::ofstream(path) << text;
     }

@@ -558,11 +558,14 @@ TEST(FidelityManager, ClassifiesByInterestWitnessAndHotWindow)
               FlowFidelity::PacketLevel);
     EXPECT_EQ(mgr.classify(10, 1, 2, usToTicks(200)),
               FlowFidelity::FluidLevel);
-    // Forced modes override everything.
-    FidelityManager pktOnly(FidelityPolicy{FidelityMode::Packet});
+    // Forced modes override everything, the interest node and the
+    // witness sample included.
+    pol.mode = FidelityMode::Packet;
+    FidelityManager pktOnly(pol);
     EXPECT_EQ(pktOnly.classify(9, 1, 2, 0),
               FlowFidelity::PacketLevel);
-    FidelityManager fluidOnly(FidelityPolicy{FidelityMode::Fluid});
+    pol.mode = FidelityMode::Fluid;
+    FidelityManager fluidOnly(pol);
     EXPECT_EQ(fluidOnly.classify(8, 7, 2, 0),
               FlowFidelity::FluidLevel);
 }
@@ -617,7 +620,8 @@ struct SwitchScenario
         recvEp.eq = &eq;
         if (idle_bg) {
             // Install the fluid hooks with zero fluid flows: the
-            // `--fidelity packet` byte-identity guarantee.
+            // packet-level run must not change (the idle-hook
+            // identity check).
             FluidLink &l = solver.addLink("bg", eth, 1000);
             bottleneck.setBackgroundSource(&l);
             sw.setBackgroundSource(&bottleneck, &l);

@@ -116,7 +116,7 @@ TEST(Switch, AddsPortLatency)
     EthLink l(eq, "l", cfg);
     SinkEndpoint n(eq);
     l.connect(&sw, &n);
-    sw.setDefaultRoute(&l);
+    sw.addRoute(9, &l);
 
     sw.deliver(makePacket(64, 0, 9));
     eq.run();
@@ -130,33 +130,13 @@ TEST(Switch, NoRouteDropsAndCounts)
 {
     EventQueue eq;
     Switch sw(eq, "sw", 0);
-    // Unknown destination with no default route: the frame is
-    // dropped and counted, not a simulator abort.
+    // Unknown destination: the frame is dropped and counted, not a
+    // simulator abort.
     sw.deliver(makePacket(64, 0, 5));
     sw.deliver(makePacket(64, 0, 6));
     eq.run();
     EXPECT_EQ(sw.dropsNoRoute(), 2u);
     EXPECT_EQ(sw.framesForwarded(), 0u);
-}
-
-TEST(Switch, DefaultRouteCatchesUnknownDestinations)
-{
-    EventQueue eq;
-    EthConfig cfg;
-    Switch sw(eq, "sw", cfg.switchLatency);
-    EthLink def(eq, "def", cfg), known(eq, "known", cfg);
-    SinkEndpoint nd(eq), nk(eq);
-    def.connect(&sw, &nd);
-    known.connect(&sw, &nk);
-    sw.addRoute(1, &known);
-    sw.setDefaultRoute(&def);
-
-    sw.deliver(makePacket(128, 0, 1)); // routed
-    sw.deliver(makePacket(128, 0, 9)); // unknown -> default
-    eq.run();
-    EXPECT_EQ(nk.got.size(), 1u);
-    EXPECT_EQ(nd.got.size(), 1u);
-    EXPECT_EQ(sw.dropsNoRoute(), 0u);
 }
 
 TEST(Switch, FiniteEgressQueueTailDrops)
@@ -169,7 +149,7 @@ TEST(Switch, FiniteEgressQueueTailDrops)
     EthLink l(eq, "l", cfg);
     SinkEndpoint n(eq);
     l.connect(&sw, &n);
-    sw.setDefaultRoute(&l);
+    sw.addRoute(1, &l);
 
     for (int i = 0; i < 10; ++i)
         sw.deliver(makePacket(1460, 0, 1));
@@ -193,7 +173,7 @@ TEST(Switch, EcnMarksAboveThreshold)
     EthLink l(eq, "l", cfg);
     SinkEndpoint n(eq);
     l.connect(&sw, &n);
-    sw.setDefaultRoute(&l);
+    sw.addRoute(1, &l);
 
     for (int i = 0; i < 6; ++i)
         sw.deliver(makePacket(1460, 0, 1));
@@ -218,7 +198,7 @@ TEST(Switch, UnboundedQueueNeverDrops)
     EthLink l(eq, "l", cfg);
     SinkEndpoint n(eq);
     l.connect(&sw, &n);
-    sw.setDefaultRoute(&l);
+    sw.addRoute(1, &l);
     for (int i = 0; i < 200; ++i)
         sw.deliver(makePacket(1460, 0, 1));
     eq.run();
@@ -279,10 +259,9 @@ TEST(ClosFabric, DeliverUsesDefaultLocality)
     ClosFabric fab(eq, "fab", cfg);
     SinkEndpoint n(eq);
     fab.attach(1, &n);
-    fab.setDefaultLocality(TrafficLocality::IntraRack);
     fab.deliver(makePacket(64, 0, 1));
     eq.run();
     ASSERT_EQ(n.got.size(), 1u);
     EXPECT_EQ(n.got[0].second,
-              fab.pathDelay(64, TrafficLocality::IntraRack));
+              fab.pathDelay(64, TrafficLocality::IntraCluster));
 }

@@ -337,66 +337,6 @@ TEST(SweepRunner, ParseSweepCliRejectsBadShards)
     EXPECT_NE(err.find("requires a value"), std::string::npos);
 }
 
-TEST(SweepRunner, ParseSweepCliFidelity)
-{
-    // Each spelling lands in cli.fidelity; absence keeps Packet (the
-    // byte-identical default every golden is produced in).
-    SweepCli cli;
-    std::string err;
-    ASSERT_TRUE(
-        tryParseSweepCli({"--fidelity", "hybrid"}, {"--fidelity"}, cli, err))
-        << err;
-    EXPECT_EQ(cli.fidelity, FidelityMode::Hybrid);
-
-    ASSERT_TRUE(
-        tryParseSweepCli({"--fidelity", "fluid"}, {"--fidelity"}, cli, err))
-        << err;
-    EXPECT_EQ(cli.fidelity, FidelityMode::Fluid);
-
-    ASSERT_TRUE(
-        tryParseSweepCli({"--fidelity", "packet"}, {"--fidelity"}, cli, err))
-        << err;
-    EXPECT_EQ(cli.fidelity, FidelityMode::Packet);
-
-    SweepCli def;
-    ASSERT_TRUE(tryParseSweepCli({}, {}, def, err)) << err;
-    EXPECT_EQ(def.fidelity, FidelityMode::Packet);
-
-    // Composes with the rest of the shared sweep surface.
-    SweepCli both;
-    ASSERT_TRUE(tryParseSweepCli({"--fidelity", "fluid", "--jobs",
-                                  "2", "--short"},
-                                 {"--fidelity"}, both, err))
-        << err;
-    EXPECT_EQ(both.fidelity, FidelityMode::Fluid);
-    EXPECT_EQ(both.jobs, 2u);
-    EXPECT_TRUE(both.shortMode);
-
-    EXPECT_STREQ(fidelityModeName(FidelityMode::Packet), "packet");
-    EXPECT_STREQ(fidelityModeName(FidelityMode::Hybrid), "hybrid");
-    EXPECT_STREQ(fidelityModeName(FidelityMode::Fluid), "fluid");
-}
-
-TEST(SweepRunner, ParseSweepCliRejectsBadFidelity)
-{
-    // Unknown mode names, a missing value, and case variants are
-    // hard errors naming the offending token, like --jobs/--shards.
-    SweepCli cli;
-    std::string err;
-
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "analog"}, {"--fidelity"},
-                                  cli, err));
-    EXPECT_NE(err.find("analog"), std::string::npos);
-    EXPECT_NE(err.find("--fidelity"), std::string::npos);
-
-    EXPECT_FALSE(tryParseSweepCli({"--fidelity", "Packet"}, {"--fidelity"},
-                                  cli, err));
-
-    EXPECT_FALSE(
-        tryParseSweepCli({"--fidelity"}, {"--fidelity"}, cli, err));
-    EXPECT_NE(err.find("requires a value"), std::string::npos);
-}
-
 TEST(SweepRunner, ParseSweepCliRejectsUnknownFlags)
 {
     SweepCli cli;
@@ -412,8 +352,8 @@ TEST(SweepRunner, ParseSweepCliRejectsUnknownFlags)
     // Stray positional arguments are rejected too.
     EXPECT_FALSE(tryParseSweepCli({"12"}, {}, cli, err));
 
-    // --shards and --fidelity are opt-in: a bench that does not list
-    // them would ignore them, so they are unknown there.
+    // --shards is opt-in: a bench that does not list it would ignore
+    // it, so it is unknown there. --fidelity is no bench's flag.
     EXPECT_FALSE(tryParseSweepCli({"--shards", "2"}, {}, cli, err));
     EXPECT_NE(err.find("--shards"), std::string::npos);
     EXPECT_FALSE(tryParseSweepCli({"--fidelity", "fluid"}, {"--shards"},
