@@ -155,7 +155,7 @@ main(int argc, char **argv)
         ServingParams plain = cellParams(hostSpec, short_mode);
         ServingParams empty = plain;
         empty.placement = ServingPlacement::NetDimmHandlers;
-        empty.emptyMatchTable = true;
+        empty.handlersServeNothing = true;
         std::vector<SweepCell<ServingResult>> pair;
         pair.push_back({"golden plain", [&base, plain] {
                             return runServing(base, plain);

@@ -23,8 +23,8 @@
  *    (jobs-invariance); on a >=4-core machine the speedup gates at
  *    3x.
  *
- * The binary overrides global operator new/delete to count heap
- * allocations inside the measured regions; `churn`/`pool` report
+ * The binary overrides global operator new/delete (alloc_count.cpp)
+ * to count heap allocations inside the measured regions; `churn`/`pool` report
  * allocations per item, which must drop to ~0 in steady state with
  * the pooled core (see EXPERIMENTS.md).
  *
@@ -36,13 +36,10 @@
  * which is how CI gates simulator-core performance.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
-#include <new>
 #include <vector>
 
 #include "harness/BenchGate.hh"
@@ -51,65 +48,10 @@
 #include "workload/TraceGen.hh"
 #include "kernel/Node.hh"
 
-// ---------------------------------------------------------------------
-// Allocation counting: every heap allocation made by this binary goes
-// through these overrides. The counter lets the harness report
-// allocations per event/object in the measured regions.
-// ---------------------------------------------------------------------
-
-namespace
+namespace netdimm::bench
 {
-std::atomic<std::uint64_t> g_heapAllocs{0};
-}
-
-void *
-operator new(std::size_t n)
-{
-    ++g_heapAllocs;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(std::size_t n, std::align_val_t al)
-{
-    ++g_heapAllocs;
-    std::size_t a = static_cast<std::size_t>(al);
-    std::size_t rounded = (n + a - 1) / a * a;
-    if (void *p = std::aligned_alloc(a, rounded ? rounded : a))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t al)
-{
-    return ::operator new(n, al);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
+/** Heap allocations made by this binary so far (alloc_count.cpp). */
+std::uint64_t heapAllocs();
 }
 
 using namespace netdimm;
@@ -173,7 +115,7 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
     });
 
     auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t allocs0 = g_heapAllocs.load();
+    std::uint64_t allocs0 = bench::heapAllocs();
 
     TraceGen gen(ClusterType::Database, 5.0, 12345);
     Tick t = 0;
@@ -191,7 +133,7 @@ replayOnce(NicKind kind, int npackets, PhaseResult &out)
 
     out.items += std::uint64_t(npackets);
     out.events += eq.executedEvents();
-    out.allocs += g_heapAllocs.load() - allocs0;
+    out.allocs += bench::heapAllocs() - allocs0;
     out.wallS += wallSeconds(t0);
     return measured ? sum_us / measured : 0.0;
 }
@@ -246,14 +188,14 @@ runChurn(std::uint64_t flows, std::uint64_t roundsPerFlow)
     pool.clear();
 
     auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t allocs0 = g_heapAllocs.load();
+    std::uint64_t allocs0 = bench::heapAllocs();
     for (std::uint64_t f = 0; f < flows; ++f) {
         pool.push_back(ChurnFlow{eq, roundsPerFlow, 0, &deschedules});
         pool.back().kick();
     }
     eq.run();
     out.wallS = wallSeconds(t0);
-    out.allocs = g_heapAllocs.load() - allocs0;
+    out.allocs = bench::heapAllocs() - allocs0;
     out.events = eq.executedEvents() - warmupEvents;
     out.items = deschedules;
     return out;
@@ -273,7 +215,7 @@ runPool(std::uint64_t objects)
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t allocs0 = g_heapAllocs.load();
+    std::uint64_t allocs0 = bench::heapAllocs();
     std::uint64_t sink = 0;
     for (std::uint64_t i = 0; i < objects; ++i) {
         auto p = makePacket(1460, 0, 1);
@@ -282,7 +224,7 @@ runPool(std::uint64_t objects)
         sink += p->id + r->addr;
     }
     out.wallS = wallSeconds(t0);
-    out.allocs = g_heapAllocs.load() - allocs0;
+    out.allocs = bench::heapAllocs() - allocs0;
     out.items = objects * 2;
     out.events = out.items; // objects stand in for events here
     if (sink == 0)

@@ -10,20 +10,14 @@ HandlerStage::HandlerStage(EventQueue &eq, std::string name,
                            MemTarget &local_mem,
                            std::uint64_t local_bytes)
     : SimObject(eq, std::move(name)), _cfg(cfg.handler),
-      _localBytes(local_bytes)
+      _localBytes(local_bytes), _mem(local_mem)
 {
     ND_ASSERT(_cfg.cores > 0 && _cfg.runQueueDepth > 0);
     _cores.resize(_cfg.cores);
     _kv.buckets = 1ull << 15;
     _kv.slots = 1ull << 15;
     _kv.valueBytes = 256;
-    _counterSlots = 4096;
     carveRegions();
-    _env = std::make_unique<HandlerEnv>(eq, local_mem, _cfg, _kv,
-                                        _counterBase, _counterSlots);
-    registerKernel(makeFilterKernel());
-    registerKernel(makeCounterKernel());
-    registerKernel(makeKvKernel());
 }
 
 void
@@ -35,14 +29,11 @@ HandlerStage::carveRegions()
     std::uint64_t values =
         _kv.slots * std::uint64_t(_kv.valueStride());
     std::uint64_t buckets = _kv.buckets * cachelineBytes;
-    std::uint64_t counters = _counterSlots * cachelineBytes;
-    ND_ASSERT(values + buckets + counters < _localBytes / 2);
+    ND_ASSERT(values + buckets < _localBytes / 2);
     p -= values;
     _kv.valueBase = p;
     p -= buckets;
     _kv.bucketBase = p;
-    p -= counters;
-    _counterBase = p;
 }
 
 void
@@ -63,8 +54,7 @@ HandlerStage::setFaultInjection(FaultDomain *domain,
     _faults = domain;
     if (!domain || !fc) {
         _faults = nullptr;
-        _hangProb = _crashProb = 0.0;
-        _env->setFaults(nullptr, 0.0);
+        _hangProb = _crashProb = _kvCorruptProb = 0.0;
         return;
     }
     _hangProb = fc->handlerHangProb;
@@ -72,41 +62,24 @@ HandlerStage::setFaultInjection(FaultDomain *domain,
     _crashDetectCycles = fc->handlerCrashDetectCycles;
     _stallTimeout = fc->handlerStallTimeout;
     _watchdogPeriod = fc->handlerWatchdogPeriod;
-    _env->setFaults(domain, fc->kvCorruptProb);
+    _kvCorruptProb = fc->kvCorruptProb;
 }
 
 void
-HandlerStage::registerKernel(std::unique_ptr<HandlerKernel> kernel)
+HandlerStage::serve(RpcOp op)
 {
-    ND_ASSERT(kernel);
-    for (auto &k : _kernels) {
-        if (std::string(k->name()) == kernel->name()) {
-            k = std::move(kernel);
-            return;
-        }
-    }
-    _kernels.push_back(std::move(kernel));
-}
-
-HandlerKernel *
-HandlerStage::kernel(const std::string &name)
-{
-    for (auto &k : _kernels)
-        if (name == k->name())
-            return k.get();
-    return nullptr;
+    ND_ASSERT(op == RpcOp::Get || op == RpcOp::Put);
+    if (op == RpcOp::Get)
+        _servesGet = true;
+    else
+        _servesPut = true;
 }
 
 bool
 HandlerStage::offer(const PacketPtr &pkt)
 {
-    if (_table.empty())
+    if (!serves(pkt->rpcOp))
         return false;
-    const MatchRule *rule = _table.lookup(*pkt);
-    if (!rule)
-        return false;
-    HandlerKernel *k = kernel(rule->kernel);
-    ND_ASSERT(k); // a rule must reference a registered kernel
 
     if (_busyCores >= _cfg.cores &&
         _queue.size() >= _cfg.runQueueDepth) {
@@ -115,7 +88,7 @@ HandlerStage::offer(const PacketPtr &pkt)
     }
 
     _accepted.inc();
-    _queue.push_back({pkt, k});
+    _queue.push_back(pkt);
     if (_queue.size() > _maxQueue.value())
         _maxQueue.inc(_queue.size() - _maxQueue.value());
     tryDispatch();
@@ -126,13 +99,13 @@ void
 HandlerStage::tryDispatch()
 {
     while (_busyCores < _cfg.cores && !_queue.empty()) {
-        Pending p = std::move(_queue.front());
+        PacketPtr pkt = std::move(_queue.front());
         _queue.pop_front();
         // Deadline-aware admission: a frame that cannot make its
         // deadline anyway is shed here, before it burns a core. The
         // client's timeout/retry machinery owns the request now.
-        if (_cfg.dropExpiredAtDispatch && p.pkt->rpcDeadline != 0 &&
-            curTick() + _cfg.dispatchMargin >= p.pkt->rpcDeadline) {
+        if (_cfg.dropExpiredAtDispatch && pkt->rpcDeadline != 0 &&
+            curTick() + _cfg.dispatchMargin >= pkt->rpcDeadline) {
             _shedExpired.inc();
             continue;
         }
@@ -141,17 +114,17 @@ HandlerStage::tryDispatch()
             ++core;
         ND_ASSERT(core < _cores.size());
         ++_busyCores;
-        startInvocation(core, std::move(p));
+        startInvocation(core, std::move(pkt));
     }
 }
 
 void
-HandlerStage::startInvocation(std::size_t core, Pending p)
+HandlerStage::startInvocation(std::size_t core, PacketPtr pkt)
 {
     Core &c = _cores[core];
     c.busy = true;
     c.startTick = curTick();
-    c.pkt = p.pkt;
+    c.pkt = pkt;
 
     // Fault rolls: exactly two uniforms per invocation whenever a
     // domain is wired, so the schedule never depends on the
@@ -167,7 +140,7 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
     }
 
     if (hang) {
-        // The core wedges mid-dispatch: no kernel, no completion.
+        // The core wedges mid-dispatch: no KV body, no completion.
         // Only the watchdog can free it.
         c.hung = true;
         _hangFaults.inc();
@@ -176,13 +149,13 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
     }
 
     // nNIC pipeline hands the frame over, nController routes it to
-    // the core, the core runs the dispatch trampoline; then the
-    // kernel body (cycles + memory accesses) runs to completion.
+    // the core, the core runs the dispatch trampoline; then the KV
+    // body (cycles + memory accesses) runs to completion.
     Tick lead = NicModelConfig::pipelineLatency +
                 NetDimmConfig::controllerLatency +
                 _cfg.cycles(_cfg.dispatchCycles);
     if (crash) {
-        // The kernel traps partway through: no memory traffic, the
+        // The body traps partway through: no memory traffic, the
         // frame bounces to the host once the trap is detected.
         c.crashed = true;
         _crashFaults.inc();
@@ -196,17 +169,52 @@ HandlerStage::startInvocation(std::size_t core, Pending p)
 
     if (_faults)
         armWatchdog();
-    scheduleRel(lead, [this, p = std::move(p), core, gen = c.gen] {
-        p.kernel->run(*_env, p.pkt,
-                      [this, core, gen](HandlerResult r) {
-                          finishInvocation(core, gen, r);
-                      });
+    // A watchdog reset does not stop the body: its DRAM traffic
+    // still runs, and the generation check drops its completion.
+    scheduleRel(lead, [this, pkt = std::move(pkt), core, gen = c.gen] {
+        runKv(core, gen, pkt);
     });
 }
 
 void
+HandlerStage::runKv(std::size_t core, std::uint64_t gen,
+                    const PacketPtr &pkt)
+{
+    std::uint64_t h = handlerHash(pkt->rpcKey);
+    bool put = pkt->rpcOp == RpcOp::Put;
+    Addr bucket = _kv.bucketAddr(h);
+    eventq().scheduleRel(
+        _cfg.cycles(_cfg.kvCycles), [this, core, gen, h, put, bucket] {
+            auto probe = makeMemRequest(
+                bucket, cachelineBytes, false, MemSource::Handler,
+                [this, core, gen, h, put](Tick) {
+                    std::uint32_t bytes = _kv.valueBytes;
+                    auto access = makeMemRequest(
+                        _kv.valueAddr(h), bytes, put,
+                        MemSource::Handler,
+                        [this, core, gen, put, bytes](Tick) {
+                            // Checksum verify: one uniform per GET
+                            // whenever a fault domain is wired.
+                            bool corrupt = false;
+                            if (!put && _faults) {
+                                corrupt =
+                                    _faults->uniform() < _kvCorruptProb;
+                                if (corrupt)
+                                    _faults->noteInjected();
+                            }
+                            finishInvocation(core, gen, corrupt,
+                                             put ? 64u : bytes);
+                        });
+                    _mem.access(access);
+                });
+            _mem.access(probe);
+        });
+}
+
+void
 HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
-                               HandlerResult r)
+                               bool corrupt_nack,
+                               std::uint32_t reply_bytes)
 {
     Core &c = _cores[core];
     if (c.gen != gen)
@@ -215,30 +223,20 @@ HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
     PacketPtr pkt = c.pkt;
     releaseCore(core);
 
-    switch (r.verdict) {
-      case HandlerVerdict::Drop:
-        _drops.inc();
-        break;
-      case HandlerVerdict::Deliver:
-        if (r.corruptNack) {
-            // Checksum verify failed: NACK, serve from the
-            // authoritative host store. This is the one recovery
-            // note for the injected corruption.
-            _corruptNacks.inc();
-            _faultFallbacks.inc();
-            if (_faults)
-                _faults->noteRecovered();
-        } else {
-            _toHost.inc();
-        }
+    if (corrupt_nack) {
+        // Checksum verify failed: NACK, serve from the authoritative
+        // host store. This is the one recovery note for the injected
+        // corruption.
+        _corruptNacks.inc();
+        _faultFallbacks.inc();
+        if (_faults)
+            _faults->noteRecovered();
         ND_ASSERT(_hostRx);
         _hostRx(pkt);
-        break;
-      case HandlerVerdict::Reply: {
+    } else {
         _replies.inc();
-        PacketPtr resp =
-            makePacket(eventq(), std::max(r.replyBytes, 64u),
-                       pkt->dstNode, pkt->srcNode);
+        PacketPtr resp = makePacket(eventq(), std::max(reply_bytes, 64u),
+                                    pkt->dstNode, pkt->srcNode);
         resp->flowId = pkt->flowId;
         resp->rpcOp = RpcOp::Resp;
         resp->rpcKey = pkt->rpcKey;
@@ -255,8 +253,6 @@ HandlerStage::finishInvocation(std::size_t core, std::uint64_t gen,
             ND_ASSERT(_tx);
             _tx(resp);
         });
-        break;
-      }
     }
 
     tryDispatch();
@@ -275,7 +271,7 @@ HandlerStage::powerCycle()
         if (faulted && _faults)
             _faults->noteRecovered();
     }
-    _table.clear();
+    _servesGet = _servesPut = false;
 }
 
 void
@@ -333,11 +329,11 @@ HandlerStage::watchdogTick()
             continue;
         _watchdogResets.inc();
         while (!_queue.empty()) {
-            Pending p = std::move(_queue.front());
+            PacketPtr queued = std::move(_queue.front());
             _queue.pop_front();
             _drainedToHost.inc();
             ND_ASSERT(_hostRx);
-            _hostRx(p.pkt);
+            _hostRx(queued);
         }
         PacketPtr rescued = c.pkt;
         bool faulted = c.hung || c.crashed;

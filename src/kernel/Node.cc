@@ -231,15 +231,11 @@ Node::printStats(std::ostream &os) const
             "us");
     drv.print(os);
 
-    // Whole-node lifecycle and replicated-serving counters: one
-    // stable-order group on every node kind (all zero outside the
-    // cluster workload), mirroring the PR 7 handler-counter layout.
+    // Whole-node lifecycle counters: one stable-order group on every
+    // node kind (zero unless crash()/restart() ran).
     StatGroup life(name() + ".lifecycle");
     life.add("crashesInjected", double(_crashes.value()));
     life.add("restarts", double(_restarts.value()));
-    life.add("resyncBytes", double(_resyncBytes.value()));
-    life.add("failoverRedirects", double(_failoverRedirects.value()));
-    life.add("staleReads", double(_staleReads.value()));
     life.print(os);
 
     StatGroup cache(name() + ".llc");
@@ -310,9 +306,7 @@ Node::printStats(std::ostream &os) const
             h.add("accepted", double(hs->accepted()));
             h.add("overflows", double(hs->overflows()));
             h.add("invocations", double(hs->invocations()));
-            h.add("drops", double(hs->drops()));
             h.add("replies", double(hs->replies()));
-            h.add("toHost", double(hs->toHost()));
             h.add("shedExpired", double(hs->shedExpired()));
             h.add("hangFaults", double(hs->hangFaults()));
             h.add("crashFaults", double(hs->crashFaults()));

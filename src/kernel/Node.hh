@@ -94,7 +94,7 @@ class Node : public SimObject
      * Whole-node power failure: the access link drops carrier (PR 3
      * epoch rule kills frames in flight), the driver loses its
      * in-flight descriptors and pending RX work, and the device's
-     * volatile state (nCache, handler queue/cores/match table) is
+     * volatile state (nCache, handler queue/cores/served ops) is
      * wiped. Books nothing — the caller's crash domain owns the
      * ledger entry.
      */
@@ -102,9 +102,9 @@ class Node : public SimObject
     /**
      * Cold boot after crash(): device function-reset, rings rebuilt,
      * RX buffers reposted, link carrier restored, then the cold-boot
-     * hook replays workload setup (match-table reinstall, KV
-     * reconfiguration). The KV store itself comes back empty — the
-     * workload's resync protocol refills it.
+     * hook replays workload setup (KV reconfiguration). The KV store
+     * itself comes back empty — the workload's resync protocol
+     * refills it.
      */
     void restart();
     /** Installed once; replayed at the end of every restart(). */
@@ -113,19 +113,8 @@ class Node : public SimObject
         _coldBoot = std::move(fn);
     }
 
-    // -- replication/failover counters (workload-maintained) ------------
-    void noteResyncBytes(std::uint64_t n) { _resyncBytes.inc(n); }
-    void noteFailoverRedirect() { _failoverRedirects.inc(); }
-    void noteStaleRead() { _staleReads.inc(); }
-
     std::uint64_t crashesInjected() const { return _crashes.value(); }
     std::uint64_t restarts() const { return _restarts.value(); }
-    std::uint64_t resyncBytes() const { return _resyncBytes.value(); }
-    std::uint64_t failoverRedirects() const
-    {
-        return _failoverRedirects.value();
-    }
-    std::uint64_t staleReads() const { return _staleReads.value(); }
 
     // -- component access -------------------------------------------------
     const SystemConfig &config() const { return _cfg; }
@@ -169,8 +158,7 @@ class Node : public SimObject
     bool _alive = true;
     std::uint64_t _bootGen = 0;
     std::function<void()> _coldBoot;
-    stats::Scalar _crashes, _restarts, _resyncBytes;
-    stats::Scalar _failoverRedirects, _staleReads;
+    stats::Scalar _crashes, _restarts;
 
     /** Round-robin application pages for standard-driver sources. */
     std::vector<Addr> _appPages;

@@ -301,8 +301,8 @@ NetDimmDevice::deliver(const PacketPtr &pkt)
         return;
     }
     // The handler stage classifies at line rate in the nNIC parser;
-    // a matched frame with a free run-queue slot never touches the
-    // host RX ring. Overflow and non-matching frames fall through.
+    // a served GET/PUT with a free run-queue slot never touches the
+    // host RX ring. Overflow and unserved frames fall through.
     if (_handlers && _handlers->offer(pkt))
         return;
     hostDeliver(pkt);

@@ -130,7 +130,7 @@ class NetDimmDevice : public NvdimmPDevice, public NetEndpoint
 
     /**
      * Whole-node power failure: the device stops moving frames, the
-     * nCache SRAM and the handler stage (queue, cores, match table)
+     * nCache SRAM and the handler stage (queue, cores, served ops)
      * are wiped. Distinct from an injected hang — no fault is booked
      * here; the node-level crash domain owns the ledger entry. The
      * cold-boot reset() clears the condition.

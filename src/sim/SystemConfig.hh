@@ -333,9 +333,9 @@ struct NetDimmConfig
 };
 
 /**
- * Near-memory packet handler stage (src/handler): a pool of wimpy
- * in-order cores on the buffer device running registered per-packet
- * kernels (PsPIN-style), fed by a match table in the nNIC RX path.
+ * Near-memory KV handler stage (src/handler): a pool of wimpy
+ * in-order cores on the buffer device serving KV GETs/PUTs
+ * (PsPIN-style handlers) that the nNIC RX path hands them by RPC op.
  * Cycle counts are charged at the handler-core clock; DRAM accesses
  * go through the local nMC tagged MemSource::Handler so they
  * arbitrate against concurrent host traffic (MemArbPolicy).
@@ -350,18 +350,14 @@ struct HandlerConfig
     static constexpr double freqGhz = 1.2;
     /** Bounded run queue; overflow falls back to host delivery. */
     std::uint32_t runQueueDepth = 16;
-    /** Match + schedule cost per accepted packet, in cycles. */
+    /** Classify + schedule cost per accepted packet, in cycles. */
     static constexpr std::uint64_t dispatchCycles = 40;
-    /** filter/drop kernel body, in cycles. */
-    static constexpr std::uint64_t filterCycles = 30;
-    /** counter-aggregation body (plus one 64B RMW via nMC). */
-    static constexpr std::uint64_t counterCycles = 60;
     /** KV GET/PUT body (plus bucket + value accesses via nMC). */
     static constexpr std::uint64_t kvCycles = 120;
     /**
      * Deadline-aware admission at dispatch: a queued frame whose
      * rpcDeadline will expire within dispatchMargin of now is shed
-     * (never runs a kernel; the client's retry policy owns it).
+     * (never runs the KV body; the client's retry policy owns it).
      * Default off so deadline-less traffic is untouched.
      */
     bool dropExpiredAtDispatch = false;

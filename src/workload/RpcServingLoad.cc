@@ -545,7 +545,7 @@ class ServingSim
             fr.got = true;
             for (const auto &[k, v] : fr.kv)
                 installMax(k, v);
-            node.noteResyncBytes(pkt->bytes);
+            sim.res.resyncBytes += pkt->bytes;
             if (--plan->remaining == 0) {
                 plan.reset();
                 rejoin();
@@ -574,7 +574,7 @@ class ServingSim
         }
 
         /** Re-sync complete: back into the serve set. On the handler
-         *  placement this is also where the GET match rule returns --
+         *  placement this is also where the stage serves GETs again --
          *  a resyncing node must not serve stale GETs from its
          *  wimpy cores. */
         void
@@ -585,7 +585,7 @@ class ServingSim
             if (sim.offload) {
                 HandlerStage *hs = node.netdimm()->handlers();
                 ND_ASSERT(hs);
-                hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+                hs->serve(RpcOp::Get);
             }
         }
     };
@@ -714,11 +714,8 @@ ServingSim::ServingSim(const SystemConfig &base,
     // -- topology -------------------------------------------------------
     client = std::make_unique<Node>(eq, "client", cfg, 0);
     for (std::uint32_t i = 0; i < cl.nodes; ++i) {
-        std::string name = "server";
-        if (cl.nodes > 1) {
-            name = "s";
-            name += std::to_string(i + 1);
-        }
+        std::string name =
+            cl.nodes > 1 ? "s" + std::to_string(i + 1) : "server";
         serverNodes.push_back(
             std::make_unique<Node>(eq, name, cfg, i + 1));
     }
@@ -746,7 +743,7 @@ ServingSim::ServingSim(const SystemConfig &base,
     }
 
     offload = p.placement == ServingPlacement::NetDimmHandlers &&
-              !p.emptyMatchTable;
+              !p.handlersServeNothing;
     // The wimpy cores know nothing of versions or replication, so
     // they take PUTs only when no write needs a backup and none can
     // be lost to a crash. Their version-0 replies keep those PUTs off
@@ -761,11 +758,11 @@ ServingSim::ServingSim(const SystemConfig &base,
         ND_ASSERT(hs);
         hs->configureKv(/*buckets=*/1u << 14, /*slots=*/1u << 14,
                         p.valueBytes);
-        hs->table().add(MatchRule::onOp(RpcOp::Get, "kv"));
+        hs->serve(RpcOp::Get);
         if (handlerPuts)
-            hs->table().add(MatchRule::onOp(RpcOp::Put, "kv"));
-        // Cold boot replays the device-side KV setup; the GET match
-        // rule waits for rejoin() so a resyncing node cannot serve.
+            hs->serve(RpcOp::Put);
+        // Cold boot replays the device-side KV setup; serving GETs
+        // waits for rejoin() so a resyncing node cannot serve.
         n->setColdBootHook([n, vb = p.valueBytes] {
             n->netdimm()->handlers()->configureKv(1u << 14, 1u << 14,
                                                   vb);
@@ -856,7 +853,7 @@ ServingSim::routeFlight(Flight &f)
     }
     f.target = pick;
     if (pick != rsScratch[0])
-        client->noteFailoverRedirect();
+        ++res.failoverRedirects;
 }
 
 void
@@ -1004,7 +1001,7 @@ ServingSim::onReply(const PacketPtr &pkt, Tick now)
             if (a != acked.end() &&
                 pkt->rpcVersion < a->second.version &&
                 it->second.firstSend >= a->second.at)
-                client->noteStaleRead();
+                ++res.staleReads;
         }
     }
     doneFlags[std::size_t(pkt->rpcKey)] = 1;
@@ -1082,7 +1079,6 @@ ServingSim::run()
             if (HandlerStage *hs = nd->handlers()) {
                 res.handlerServed += hs->replies();
                 res.handlerOverflows += hs->overflows();
-                res.handlerShedExpired += hs->shedExpired();
                 res.handlerHangFaults += hs->hangFaults();
                 res.handlerCrashFaults += hs->crashFaults();
                 res.handlerCorruptNacks += hs->corruptNacks();
@@ -1099,10 +1095,7 @@ ServingSim::run()
         }
         res.crashes += sn.crashesInjected();
         res.restarts += sn.restarts();
-        res.resyncBytes += sn.resyncBytes();
     }
-    res.failoverRedirects = client->failoverRedirects();
-    res.staleReads = client->staleReads();
 
     Tick totalDown = 0;
     for (auto &c : ctxs) {

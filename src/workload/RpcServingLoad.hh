@@ -117,12 +117,11 @@ struct ServingParams
     /** Handler bus share under MemArbPolicy::StaticCap. */
     double handlerShare = 0.5;
     /**
-     * Leave the match table empty: the stage is built but classifies
-     * nothing, so every frame takes the plain host path. Used by the
-     * zero-handler golden check (must be byte-identical to
-     * NetDimmHost).
+     * Build the stage but serve no op on it, so every frame takes
+     * the plain host path. Used by the zero-handler golden check
+     * (must be byte-identical to NetDimmHost).
      */
-    bool emptyMatchTable = false;
+    bool handlersServeNothing = false;
 
     // -- interference co-runners (NetDIMM placements only) -------------
     /**
@@ -219,8 +218,6 @@ struct ServingResult
     std::uint64_t shedGets = 0;
     /** Requests shed at host dequeue: deadline already blown. */
     std::uint64_t shedExpired = 0;
-    /** Frames shed at handler dispatch: deadline already blown. */
-    std::uint64_t handlerShedExpired = 0;
     /** Injected handler faults, by flavour. */
     std::uint64_t handlerHangFaults = 0;
     std::uint64_t handlerCrashFaults = 0;

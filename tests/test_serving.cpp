@@ -53,7 +53,7 @@ TEST(RpcServing, HandlerPlacementOffloadsAndWins)
         base, smallCell(ServingPlacement::NetDimmHandlers));
 
     EXPECT_EQ(hand.completed, hand.sent);
-    // Every request is a GET/PUT, so with an installed table the
+    // Every request is a GET/PUT, so with both ops served the
     // handler cores serve all of them (no overflow at this load).
     EXPECT_EQ(hand.handlerServed, hand.sent);
     EXPECT_EQ(hand.hostServed, 0u);
@@ -62,12 +62,12 @@ TEST(RpcServing, HandlerPlacementOffloadsAndWins)
     EXPECT_LT(hand.rtt.percentile(0.99), host.rtt.percentile(0.99));
 }
 
-TEST(RpcServing, EmptyMatchTableIsByteIdenticalToPlainNetDimm)
+TEST(RpcServing, HandlersServingNothingIsByteIdenticalToPlainNetDimm)
 {
     SystemConfig base;
     ServingParams plain = smallCell(ServingPlacement::NetDimmHost);
     ServingParams empty = smallCell(ServingPlacement::NetDimmHandlers);
-    empty.emptyMatchTable = true;
+    empty.handlersServeNothing = true;
 
     ServingResult a = runServing(base, plain);
     ServingResult b = runServing(base, empty);
